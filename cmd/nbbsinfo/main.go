@@ -341,9 +341,9 @@ func demo(sc stackConfig) {
 			r.Windows(), r.WindowSize(), s.ReservedBytes, s.CommittedBytes)
 		fmt.Printf("  lifecycle: commits=%d decommits=%d recommits=%d\n",
 			s.Commits, s.Decommits, s.Recommits)
-		if s.HugeFallbacks+s.BindFailures+s.ReserveFails+s.CommitFails+s.DecommitFails > 0 {
-			fmt.Printf("  degradation: huge_fallbacks=%d bind_failures=%d reserve_fails=%d commit_fails=%d decommit_fails=%d\n",
-				s.HugeFallbacks, s.BindFailures, s.ReserveFails, s.CommitFails, s.DecommitFails)
+		if s.HugeFallbacks+s.PopulateFallbacks+s.BindFailures+s.ReserveFails+s.CommitFails+s.DecommitFails > 0 {
+			fmt.Printf("  degradation: huge_fallbacks=%d populate_fallbacks=%d bind_failures=%d reserve_fails=%d commit_fails=%d decommit_fails=%d\n",
+				s.HugeFallbacks, s.PopulateFallbacks, s.BindFailures, s.ReserveFails, s.CommitFails, s.DecommitFails)
 		}
 		fmt.Printf("  commit map:\n")
 		nodes := r.NodeMap()

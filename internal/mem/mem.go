@@ -18,11 +18,21 @@
 //	reserve   address space only (PROT_NONE, MAP_NORESERVE on Linux):
 //	          no RSS, no swap accounting; faults on touch.
 //	commit    make the window usable and resident (mprotect RW, then
-//	          touch one byte per page so the committed bytes really back
+//	          pre-fault every page so the committed bytes really back
 //	          the window — commit is the moment RSS rises, not first use).
 //	decommit  return the pages to the OS (MADV_DONTNEED) and fence the
 //	          window off again (PROT_NONE). RSS drops immediately.
 //	recommit  commit after a decommit; the window comes back zero-filled.
+//
+// On Linux the pre-fault is one madvise(MADV_POPULATE_WRITE) call
+// (Linux ≥ 5.14), which faults the whole window in inside the kernel
+// instead of taking one page fault per page. Errors map onto the
+// degradation ladder: EINVAL (a kernel without the advice) falls back
+// to touching one byte per page and is counted in
+// Stats.PopulateFallbacks; any other error (ENOMEM, EFAULT, EHWPOISON)
+// fails the commit — the pages already faulted in are dropped, the
+// window is fenced off again and stays reserved, and CommitFails counts
+// it. The touch loop itself cannot report running out of memory.
 //
 // The platform split lives behind build-tagged hooks (osReserve /
 // osProtectRW / osAdviseHuge / osTouch / osDecommit / osRelease): Linux
@@ -78,6 +88,11 @@ type Stats struct {
 	// back to base 4KiB pages — the first rung of the degradation ladder:
 	// the commit still succeeds, only the large-TLB win is lost.
 	HugeFallbacks uint64
+	// PopulateFallbacks counts commits whose MADV_POPULATE_WRITE
+	// pre-fault was rejected with EINVAL (a kernel older than 5.14) and
+	// ran the one-byte-per-page touch loop instead: the commit still
+	// succeeds, only slower.
+	PopulateFallbacks uint64
 	// BindFailures counts NUMA placements that could not be installed;
 	// best-effort by contract, so the commit proceeds without locality.
 	BindFailures uint64
@@ -118,13 +133,15 @@ type Region struct {
 	wins []*window
 
 	commits, decommits, recommits       uint64
-	hugeFallbacks, bindFails            uint64
+	hugeFallbacks, populateFallbacks    uint64
+	bindFails                           uint64
 	reserveFails, commitFails, decFails uint64
 
 	// sink, when non-nil, receives one call per degradation-ladder rung
-	// taken (huge-fallback, bind-fail, commit-fail, reserve-fail,
-	// decommit-fail) for the telemetry flight recorder. Invoked with mu
-	// held, so events order like the transitions they describe.
+	// taken (huge-fallback, populate-fallback, bind-fail, commit-fail,
+	// reserve-fail, decommit-fail) for the telemetry flight recorder.
+	// Invoked with mu held, so events order like the transitions they
+	// describe.
 	sink func(event string, a, b uint64)
 }
 
@@ -260,8 +277,8 @@ func (r *Region) Commit(k int) error {
 		return fmt.Errorf("mem: committing window %d: %w", k, err)
 	}
 	if r.numa {
-		// Install the placement BEFORE the commit touch: mbind sets the
-		// VMA's policy and the touch loop then first-faults every page
+		// Install the placement BEFORE the pre-fault: mbind sets the
+		// VMA's policy and the pre-fault then first-faults every page
 		// onto the preferred node. On single-node machines and platforms
 		// without the syscalls the bind is a no-op but the assignment
 		// still lands in NodeMap.
@@ -297,7 +314,22 @@ func (r *Region) Commit(k int) error {
 			r.emit("huge-fallback", uint64(k))
 		}
 	}
-	osTouch(w.buf)
+	fellBack, err := osTouch(w.buf)
+	if fellBack {
+		r.populateFallbacks++
+		r.emit("populate-fallback", uint64(k))
+	}
+	if err != nil {
+		// The pre-fault ran out of memory (or hit a poisoned page) part
+		// way through: drop what it faulted in and fence the window off
+		// again, so the failed commit leaves the window reserved like
+		// every other failed transition. Best-effort — the decommit
+		// calls only fail on arguments this window never has.
+		_ = osDecommit(w.buf)
+		r.commitFails++
+		r.emit("commit-fail", uint64(k))
+		return fmt.Errorf("mem: committing window %d: %w", k, err)
+	}
 	w.committed = true
 	r.commits++
 	if w.decommitted {
@@ -387,15 +419,16 @@ func (r *Region) Stats() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := Stats{
-		ReservedBytes: uint64(len(r.wins)) * r.winSize,
-		Commits:       r.commits,
-		Decommits:     r.decommits,
-		Recommits:     r.recommits,
-		HugeFallbacks: r.hugeFallbacks,
-		BindFailures:  r.bindFails,
-		ReserveFails:  r.reserveFails,
-		CommitFails:   r.commitFails,
-		DecommitFails: r.decFails,
+		ReservedBytes:     uint64(len(r.wins)) * r.winSize,
+		Commits:           r.commits,
+		Decommits:         r.decommits,
+		Recommits:         r.recommits,
+		HugeFallbacks:     r.hugeFallbacks,
+		PopulateFallbacks: r.populateFallbacks,
+		BindFailures:      r.bindFails,
+		ReserveFails:      r.reserveFails,
+		CommitFails:       r.commitFails,
+		DecommitFails:     r.decFails,
 	}
 	for _, w := range r.wins {
 		if w.committed {

@@ -23,7 +23,7 @@ func osProtectRW(buf []byte) error { return nil }
 func osAdviseHuge(buf []byte) error { return nil }
 
 // osTouch is bookkeeping: Go already zero-filled the slice.
-func osTouch(buf []byte) {}
+func osTouch(buf []byte) (fellBack bool, err error) { return false, nil }
 
 // osDecommit zero-fills the window so a later recommit observes the same
 // "fresh window is zero" invariant MADV_DONTNEED gives the Linux backend.

@@ -3,6 +3,7 @@
 package mem
 
 import (
+	"errors"
 	"syscall"
 	"unsafe"
 )
@@ -53,15 +54,43 @@ func osAdviseHuge(buf []byte) error {
 	return syscall.Madvise(buf, syscall.MADV_HUGEPAGE)
 }
 
-// osTouch faults one byte per page so the pages are resident when the
-// commit returns — committed bytes are meant to reconcile with RSS, not
-// with a lazy first-fault promise. Runs after the hugepage advise so
-// the first faults can materialize 2MiB extents.
-func osTouch(buf []byte) {
+// madvPopulateWrite is MADV_POPULATE_WRITE (Linux ≥ 5.14), newer than
+// the syscall package's constant table.
+const madvPopulateWrite = 23
+
+// populate pre-faults buf writable in one call. A variable so tests can
+// drive osTouch's fallback and failure branches on any kernel.
+var populate = func(buf []byte) error { return syscall.Madvise(buf, madvPopulateWrite) }
+
+// osTouch makes every page of the window resident before the commit
+// returns — committed bytes are meant to reconcile with RSS, not with a
+// lazy first-fault promise. Runs after the hugepage advise so the
+// pre-fault can materialize 2MiB extents.
+//
+// MADV_POPULATE_WRITE does it in one call, faulting the range in inside
+// the kernel rather than taking one page fault per page. An EINTR (a
+// signal during a long populate) is retried; the pages already faulted
+// in stay, so the retry only finishes the rest. EINVAL means the kernel
+// predates the advice: fellBack reports it and the one-byte-per-page
+// touch loop runs instead. Any other error — ENOMEM when the machine or
+// the memory cgroup is out of pages, EFAULT, EHWPOISON on a poisoned
+// page — is returned and the caller fails the commit; the touch loop
+// has no such way out, it would take the process down instead.
+func osTouch(buf []byte) (fellBack bool, err error) {
+	for {
+		err = populate(buf)
+		if !errors.Is(err, syscall.EINTR) {
+			break
+		}
+	}
+	if !errors.Is(err, syscall.EINVAL) {
+		return false, err
+	}
 	step := syscall.Getpagesize()
 	for i := 0; i < len(buf); i += step {
 		buf[i] = 0
 	}
+	return true, nil
 }
 
 // osDecommit gives the pages back (MADV_DONTNEED zero-fills the range and

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"testing"
+	"time"
 )
 
 func TestLifecycleStateMachine(t *testing.T) {
@@ -148,4 +149,32 @@ func TestReleaseIdempotent(t *testing.T) {
 	if r.Windows() != 0 {
 		t.Fatal("released region should hold no windows")
 	}
+}
+
+// BenchmarkCommitDecommit prices one elastic grow's and retire's memory
+// work at the production window size: each iteration commits a 64 MiB
+// window (pre-faulting every page) and decommits it again, reporting the
+// two halves separately as ns/commit and ns/decommit.
+func BenchmarkCommitDecommit(b *testing.B) {
+	const win = 64 << 20
+	r, err := New(win, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.Release()
+	var commit, decommit time.Duration
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		if err := r.Commit(0); err != nil {
+			b.Fatal(err)
+		}
+		t1 := time.Now()
+		if err := r.Decommit(0); err != nil {
+			b.Fatal(err)
+		}
+		commit += t1.Sub(t0)
+		decommit += time.Since(t1)
+	}
+	b.ReportMetric(float64(commit.Nanoseconds())/float64(b.N), "ns/commit")
+	b.ReportMetric(float64(decommit.Nanoseconds())/float64(b.N), "ns/decommit")
 }

@@ -2,6 +2,8 @@ package multi
 
 import (
 	"errors"
+	"slices"
+	"sync/atomic"
 	"syscall"
 	"testing"
 
@@ -34,22 +36,24 @@ func mappedRouter(t *testing.T, count int) (*Multi, *mem.Region, *fault.Injector
 	return m, r, in
 }
 
-// TestAddInstanceCommitFailureLeavesNoTrace pins the memory-first grow
-// order: when the window commit fails, no instance was constructed, the
-// table is untouched, and a retry grows cleanly.
+// TestAddInstanceCommitFailureLeavesNoTrace pins the commit half of the
+// overlapped grow's unwind: when the window commit fails while the leaf
+// build succeeds, the built slot is dropped — the table, its width and
+// the commit map are exactly as before — and a retry grows cleanly.
 func TestAddInstanceCommitFailureLeavesNoTrace(t *testing.T) {
 	m, r, in := mappedRouter(t, 2)
-	slots, id := m.Slots(), m.nextID
+	slots, commitMap := m.Slots(), r.CommitMap()
+	tab := m.tab.Load()
 
 	in.Set(fault.FailAlways(fault.Commit, syscall.ENOMEM))
 	if _, err := m.AddInstance(); !errors.Is(err, syscall.ENOMEM) {
 		t.Fatalf("AddInstance under commit fault = %v, want ENOMEM", err)
 	}
-	if m.Slots() != slots || m.Instances() != 2 {
+	if m.tab.Load() != tab || m.Slots() != slots || m.Instances() != 2 {
 		t.Fatalf("failed grow mutated the table: slots=%d instances=%d", m.Slots(), m.Instances())
 	}
-	if m.nextID != id {
-		t.Fatal("failed grow constructed an instance before committing memory")
+	if got := r.CommitMap(); !slices.Equal(got[:len(commitMap)], commitMap) || slices.Contains(got[len(commitMap):], true) {
+		t.Fatalf("failed grow changed the commit map: %v -> %v", commitMap, got)
 	}
 	if s := r.Stats(); s.CommitFails != 1 || s.CommittedBytes != 2*m.InstanceSpan() {
 		t.Fatalf("region stats after failed grow: %+v", s)
@@ -65,11 +69,40 @@ func TestAddInstanceCommitFailureLeavesNoTrace(t *testing.T) {
 	}
 }
 
-// TestAddInstanceRollsBackCommitOnBuildFailure is the regression test for
-// the partial-grow leak: a buildSlot failure after the window commit must
-// decommit the window and publish nothing.
+// failingLeaf is a test-registered variant that builds a 1lvl-nb leaf
+// and then fails while failLeafBuilds is set — a build failure that only
+// surfaces after the leaf's construction cost was paid, overlapping the
+// window commit the way a real late failure would.
+const failingLeaf = "multi-test-failing-1lvl-nb"
+
+var failLeafBuilds atomic.Bool
+
+func init() {
+	alloc.Register(failingLeaf, func(cfg alloc.Config) (alloc.Allocator, error) {
+		a, err := alloc.Build("1lvl-nb", cfg)
+		if err == nil && failLeafBuilds.Load() {
+			return nil, errors.New("injected leaf build failure")
+		}
+		return a, err
+	})
+}
+
+// TestAddInstanceRollsBackCommitOnBuildFailure pins the build half of the
+// overlapped grow's unwind: a leaf build failure while the window commit
+// succeeds must decommit the window and publish nothing.
 func TestAddInstanceRollsBackCommitOnBuildFailure(t *testing.T) {
-	m, r, _ := mappedRouter(t, 2)
+	m, err := New(failingLeaf, 2, faultCfg, RoundRobin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.EnableLiveTracking()
+	r, err := mem.New(m.InstanceSpan(), m.Slots())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.BindMemory(r); err != nil {
+		t.Fatal(err)
+	}
 
 	// Open a hole so the failed grow targets a known slot index.
 	if err := m.StartDrain(1); err != nil {
@@ -81,19 +114,22 @@ func TestAddInstanceRollsBackCommitOnBuildFailure(t *testing.T) {
 	if r.Committed(1) {
 		t.Fatal("retired window still committed")
 	}
+	tab := m.tab.Load()
 
-	variant := m.variant
-	m.variant = "no-such-variant"
-	_, err := m.AddInstance()
-	m.variant = variant
+	failLeafBuilds.Store(true)
+	_, err = m.AddInstance()
+	failLeafBuilds.Store(false)
 	if err == nil {
-		t.Fatal("AddInstance with an unbuildable variant must fail")
+		t.Fatal("AddInstance with a failing leaf build must fail")
 	}
-	if m.Instances() != 1 {
+	if m.tab.Load() != tab || m.Instances() != 1 {
 		t.Fatalf("failed grow published an instance: %d", m.Instances())
 	}
 	if r.Committed(1) {
-		t.Fatal("buildSlot failure leaked a committed window behind the unpublished slot")
+		t.Fatal("build failure leaked a committed window behind the unpublished slot")
+	}
+	if s := r.Stats(); s.Commits != 3 || s.Decommits != 2 || s.CommittedBytes != m.InstanceSpan() {
+		t.Fatalf("region stats after rolled-back grow: %+v", s)
 	}
 
 	// The hole is still growable once the environment is sane again.

@@ -221,7 +221,7 @@ func (m *Multi) LiveTracking() bool { return m.trackLive }
 // window k. Every currently published slot's window is committed here;
 // afterwards the lifecycle keeps them in step — AddInstance commits
 // (recommits, when refilling a retired hole) before publishing,
-// Reactivate re-asserts the commit, and TryRetire decommits after
+// Reactivate re-asserts the commit, and TryRetire decommits just before
 // unpublishing, which is what finally returns a retired instance's RSS
 // to the OS. Like EnableLiveTracking it must be called before the router
 // serves any traffic.
@@ -554,6 +554,9 @@ func (m *Multi) LayerStats() []alloc.LayerStats {
 		if ms.HugeFallbacks > 0 {
 			entry.Extra["mem_commit_fallbacks"] = ms.HugeFallbacks
 		}
+		if ms.PopulateFallbacks > 0 {
+			entry.Extra["mem_populate_fallbacks"] = ms.PopulateFallbacks
+		}
 		if ms.BindFailures > 0 {
 			entry.Extra["mem_bind_failures"] = ms.BindFailures
 		}
@@ -598,24 +601,32 @@ func (m *Multi) AddInstance() (int, error) {
 	// Publication order, extended to memory: the slot's window is
 	// committed (a recommit when k is a refilled hole) before the table
 	// carrying the slot is stored, so any handle that can route to the
-	// instance finds its memory resident. Memory goes FIRST so the common
-	// environmental failure (reserve/commit ENOMEM) aborts before any
-	// instance exists — nothing to unwind, the table is untouched and the
-	// widened slots copy is simply dropped.
+	// instance finds its memory resident. The commit (the kernel
+	// pre-faulting the window) and the leaf build (zeroing its metadata)
+	// are independent, so the commit runs on its own goroutine while
+	// this one builds, and both are joined before anything is published.
+	// The unwind is symmetric: a failed commit leaves the window reserved
+	// and the built slot is simply dropped; a failed build alone
+	// decommits the fresh window. Either way the table is untouched and
+	// the widened slots copy is dropped.
+	var committed chan error
 	if m.region != nil {
 		if err := m.region.Ensure(k + 1); err != nil {
 			return 0, fmt.Errorf("multi: reserving window %d: %w", k, err)
 		}
-		if err := m.region.Commit(k); err != nil {
-			return 0, fmt.Errorf("multi: committing window %d: %w", k, err)
-		}
+		committed = make(chan error, 1)
+		go func() { committed <- m.region.Commit(k) }()
 	}
 	s, err := m.buildSlot()
+	if committed != nil {
+		if cerr := <-committed; cerr != nil {
+			return 0, fmt.Errorf("multi: committing window %d: %w", k, cerr)
+		}
+	}
 	if err != nil {
-		// Roll the commit back so no half-committed window leaks behind
-		// the unpublished slot. Best-effort: if the decommit also fails
-		// the window merely stays resident and a later grow into this
-		// hole recommits it idempotently.
+		// Best-effort: if the decommit also fails the window merely stays
+		// resident and a later grow into this hole recommits it
+		// idempotently.
 		if m.region != nil {
 			_ = m.region.Decommit(k)
 		}
