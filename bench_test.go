@@ -525,17 +525,22 @@ func BenchmarkAblationFragmentation(b *testing.B) {
 // rotating scatter start walks ~8 occupied statuses per allocation; and
 // "near-full" leaves one hole per 64, walking ~32. The occupied-run
 // traversal is where the SWAR pass replaces one atomic load per node
-// with one per eight nodes.
+// with one per eight nodes. "reserved-ancestors" plants MaxSize chunks
+// instead and frees every fourth: the min-class scan then meets free
+// lanes under reserved ancestors, which the 1-level scan reserves and
+// rolls back and the bunch scan's ancestor filter skips.
 func BenchmarkLevelScan(b *testing.B) {
 	cfg := alloc.Config{Total: 1 << 22, MinSize: 8, MaxSize: 16 << 10}
 	const size = 64
 	landscapes := []struct {
 		name      string
-		holeEvery int // plant chunks, then free every holeEvery-th (0 = plant nothing)
+		holeEvery int    // plant chunks, then free every holeEvery-th (0 = plant nothing)
+		plant     uint64 // size of the planted chunks
 	}{
-		{"empty", 0},
-		{"checkerboard", 16},
-		{"near-full", 64},
+		{"empty", 0, size},
+		{"checkerboard", 16, size},
+		{"near-full", 64, size},
+		{"reserved-ancestors", 4, cfg.MaxSize},
 	}
 	for _, land := range landscapes {
 		for _, variant := range []string{"1lvl-nb", "4lvl-nb"} {
@@ -546,7 +551,7 @@ func BenchmarkLevelScan(b *testing.B) {
 				if land.holeEvery > 0 {
 					var planted []uint64
 					for {
-						off, ok := planter.Alloc(size)
+						off, ok := planter.Alloc(land.plant)
 						if !ok {
 							break
 						}

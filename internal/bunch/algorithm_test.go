@@ -73,23 +73,73 @@ func TestClimbMarksParentBunchLeaf(t *testing.T) {
 	}
 }
 
-// TestRollbackOnOccupiedAncestor forces the abort path across words.
+// TestRollbackOnOccupiedAncestor drives tryAlloc's abort path directly:
+// the level scan no longer offers a node under a reserved ancestor, but a
+// racing reservation can still land between the scan and the climb, and
+// the rollback is what guards that race.
 func TestRollbackOnOccupiedAncestor(t *testing.T) {
-	a := mustNew(t, 1024, 8, 1024, WithoutScatter())
+	a := mustNew(t, 1024, 8, 1024, WithoutScatter()) // depth 7, materialized {7,3}
 	h := a.newHandle()
-	half, ok := h.Alloc(512) // node 2 at level 1: covers leaves 16..19... level 1 -> lam 3, leaves 4 fields
+	half, ok := h.Alloc(512) // node 2 at level 1: lanes 0..3 of the level-3 word
 	if !ok || half != 0 {
 		t.Fatalf("half alloc = (%d,%v)", half, ok)
 	}
+	ancWord, _ := a.wordOf(8, 3)
+	before := ancWord.Load()
+
+	// Leaf 128 (offset 0) sits under node 8, a level-3 lane of the half.
+	leafWord, _ := a.wordOf(128, 7)
+	if got := h.tryAlloc(128, leafWord.Load()); got != 8 {
+		t.Fatalf("tryAlloc under the reserved half = %d, want blocking ancestor 8", got)
+	}
+	if w := ancWord.Load(); w != before {
+		t.Fatalf("ancestor word %#x after rollback, want %#x", w, before)
+	}
+	for _, lvl := range a.geo.LeafLevels() {
+		if lvl == 3 {
+			continue
+		}
+		for i := uint64(0); i < geometry.WordsAtLevel(lvl); i++ {
+			if w := a.words[a.wordBase[lvl]+i].Load(); w != 0 {
+				t.Fatalf("level %d word %d dirty after rollback: %#x", lvl, i, w)
+			}
+		}
+	}
+	h.Free(half)
+	for i := range a.words {
+		if w := a.words[i].Load(); w != 0 {
+			t.Fatalf("word %d dirty after drain: %#x", i, w)
+		}
+	}
+}
+
+// TestScanSkipsReservedAncestor pins the level-scan filter: a sequential
+// Alloc under a reserved ancestor lands past it without a single aborted
+// reservation, issuing exactly the RMWs of a plain successful alloc.
+func TestScanSkipsReservedAncestor(t *testing.T) {
+	plain := mustNew(t, 1024, 8, 1024, WithoutScatter())
+	ph := plain.newHandle()
+	if _, ok := ph.Alloc(8); !ok {
+		t.Fatal("plain alloc failed")
+	}
+	plainRMW := ph.stats.RMW
+
+	a := mustNew(t, 1024, 8, 1024, WithoutScatter())
+	h := a.newHandle()
+	half, ok := h.Alloc(512)
+	if !ok || half != 0 {
+		t.Fatalf("half alloc = (%d,%v)", half, ok)
+	}
+	before := h.stats
 	small, ok := h.Alloc(8)
-	if !ok {
-		t.Fatal("small alloc failed")
+	if !ok || small != 512 {
+		t.Fatalf("small alloc = (%d,%v), want the first unit past the half", small, ok)
 	}
-	if small < 512 {
-		t.Fatalf("small alloc at %d under the occupied half", small)
+	if r := h.stats.Retries - before.Retries; r != 0 {
+		t.Fatalf("sequential alloc under a reserved ancestor recorded %d retries", r)
 	}
-	if h.stats.Retries == 0 {
-		t.Fatal("no retry recorded")
+	if rmw := h.stats.RMW - before.RMW; rmw != plainRMW {
+		t.Fatalf("alloc under a reserved ancestor issued %d RMWs, plain alloc %d", rmw, plainRMW)
 	}
 	h.Free(small)
 	h.Free(half)

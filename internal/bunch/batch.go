@@ -1,13 +1,12 @@
 package bunch
 
-import (
-	"repro/internal/geometry"
-	"repro/internal/status"
-)
+import "repro/internal/geometry"
 
 // Native alloc.BatchAllocator implementation over the bunch layout; see
-// internal/core/batch.go for the rationale. The scan is the same as the
-// 1-level variant's batched scan with the bunch-word probe substituted.
+// internal/core/batch.go for the rationale. The batch walks the level
+// with the same scan step as Alloc (nextCandidate: bunch-word probe plus
+// reserved-ancestor filter) and the same skip after an abort; it only
+// keeps its position between deliveries instead of returning.
 
 // AllocBatch reserves up to n chunks of at least size bytes in one level
 // scan, returning their offsets. A short or empty result means the level
@@ -45,34 +44,19 @@ func (h *Handle) AllocBatch(size uint64, n int) []uint64 {
 		}
 		i := lo
 		for i < hi && len(out) < n {
-			word, field, count, _ := h.a.nodeWord(i)
-			w := word.Load()
-			f := status.FirstFreeRun(w, field, count)
-			if f == status.LanesPerWord {
-				i += uint64((status.LanesPerWord - field) / count)
-				continue
-			}
-			cand := i + uint64((f-field)/count)
-			if cand >= hi {
+			cand, w := h.nextCandidate(level, i, hi)
+			if cand == 0 {
 				i = hi
-				continue
+				break
 			}
 			failedAt := h.tryAlloc(cand, w)
 			if failedAt == 0 {
-				offset := geo.OffsetOf(cand)
-				h.a.index[geo.UnitIndex(offset)].Store(uint32(cand))
-				h.stats.Allocs++
-				out = append(out, offset)
+				out = append(out, h.deliver(cand))
 				i = cand + 1
 				continue
 			}
 			h.stats.Retries++
-			d := uint64(1) << uint(level-geometry.LevelOf(failedAt))
-			next := (failedAt + 1) * d
-			if next <= cand {
-				next = cand + 1
-			}
-			i = next
+			i = pastSubtree(level, cand, failedAt)
 		}
 		if i > hi {
 			i = hi // a subtree skip may overshoot the pass bound

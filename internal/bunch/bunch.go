@@ -27,7 +27,10 @@
 // The level scan is a SWAR pass: one atomic load of a bunch word answers
 // all the nodes the word covers at the scanned level (eight at the
 // materialized levels, fewer above them), with status.FirstFreeRun
-// locating the first free candidate by bit tricks.
+// locating the first free candidate by bit tricks. Before reserving a
+// candidate, the scan reads its materialized ancestors and skips the
+// subtrees of reserved ones (nextCandidate); the 1-level variant keeps
+// the paper's scan without this filter.
 package bunch
 
 import (
@@ -222,9 +225,10 @@ func (h *Handle) scatterSlot(level int) uint64 {
 	return (base + h.seq) & (geometry.LevelWidth(level) - 1)
 }
 
-// Alloc is NBALLOC over the bunch layout: identical scan and subtree-skip
-// logic to the 1-level variant; only the per-node state probe and the
-// reservation differ.
+// Alloc is NBALLOC over the bunch layout: the 1-level variant's two-pass
+// level scan, with a bunch-word probe and a read-only ancestor filter in
+// nextCandidate, then the reservation and, after an abort, the same
+// subtree skip.
 func (h *Handle) Alloc(size uint64) (uint64, bool) {
 	geo := h.a.geo
 	if size > geo.MaxSize {
@@ -243,41 +247,94 @@ func (h *Handle) Alloc(size uint64) (uint64, bool) {
 			lo, hi = base, start
 		}
 		for i := lo; i < hi; {
-			// Probe a whole bunch word at once with the busy mask only, as
-			// the 1-level IsFree does: transient coalescing bits do not
-			// disqualify a node (the reservation CAS inside tryAlloc still
-			// requires them clear). FirstFreeRun yields the first candidate
-			// among the 8/count nodes the word covers at this level.
-			word, field, count, _ := h.a.nodeWord(i)
-			w := word.Load()
-			f := status.FirstFreeRun(w, field, count)
-			if f == status.LanesPerWord {
-				i += uint64((status.LanesPerWord - field) / count) // next word's first node
-				continue
-			}
-			cand := i + uint64((f-field)/count)
-			if cand >= hi {
-				i = hi
-				continue
+			cand, w := h.nextCandidate(level, i, hi)
+			if cand == 0 {
+				break
 			}
 			failedAt := h.tryAlloc(cand, w)
 			if failedAt == 0 {
-				offset := geo.OffsetOf(cand)
-				h.a.index[geo.UnitIndex(offset)].Store(uint32(cand))
-				h.stats.Allocs++
-				return offset, true
+				return h.deliver(cand), true
 			}
 			h.stats.Retries++
-			d := uint64(1) << uint(level-geometry.LevelOf(failedAt))
-			next := (failedAt + 1) * d
-			if next <= cand {
-				next = cand + 1
-			}
-			i = next
+			i = pastSubtree(level, cand, failedAt)
 		}
 	}
 	h.stats.AllocFails++
 	return 0, false
+}
+
+// nextCandidate is one step of the level scan, shared by Alloc and
+// AllocBatch. It returns the first node of the level in [i, hi) worth a
+// reservation attempt, with the witnessed value of its word to seed
+// tryAlloc's CAS, or cand == 0 when the pass holds none.
+//
+// Each bunch word is probed with the busy mask only, as the 1-level
+// IsFree does: transient coalescing bits do not disqualify a node (the
+// reservation CAS inside tryAlloc still requires them clear).
+// FirstFreeRun yields the first candidate among the 8/count nodes the
+// word covers at this level.
+//
+// A candidate under a reserved materialized ancestor would only be
+// reserved, climbed and rolled back, so the candidate's ancestor words
+// are read first, top-down from the level covering MaxLevel. The first
+// lane with Occ set blocks the candidate's whole subtree, and the scan
+// resumes under the next lane of that word whose Occ bit is clear. The
+// loads are a filter only: a stale read can skip a subtree that has just
+// been freed (the spurious miss the paper's non-atomic scan allows) but
+// cannot cause an overlap, since tryAlloc's CAS and climb still decide
+// every candidate that passes.
+func (h *Handle) nextCandidate(level int, i, hi uint64) (cand, w uint64) {
+	a := h.a
+	lam := a.geo.LeafLevelFor(level)
+	top := a.geo.LeafLevelFor(a.geo.MaxLevel)
+	shift := uint(lam - level) // a node of the level covers 1<<shift lanes
+	count := 1 << shift
+scan:
+	for i < hi {
+		word, field := a.wordOf(i<<shift, lam)
+		w = word.Load()
+		f := status.FirstFreeRun(w, field, count)
+		if f == status.LanesPerWord {
+			i += uint64((status.LanesPerWord - field) / count) // next word's first node
+			continue
+		}
+		cand = i + uint64((f-field)/count)
+		if cand >= hi {
+			break
+		}
+		for up := top; up < lam; up += geometry.BunchSpan {
+			anc := geometry.AncestorAt(cand, level, up)
+			ancWord, ancField := a.wordOf(anc, up)
+			if v := ancWord.Load(); status.OccLane(v, ancField) {
+				next := anc + uint64(status.FirstUnreservedLane(v, ancField+1)-ancField)
+				i = next << uint(level-up)
+				continue scan
+			}
+		}
+		return cand, w
+	}
+	return 0, 0
+}
+
+// pastSubtree is the skip after an aborted reservation of cand: every
+// node of the level under failedAt is equally taken, so the scan resumes
+// after failedAt's subtree (or right after cand when cand itself lost).
+func pastSubtree(level int, cand, failedAt uint64) uint64 {
+	d := uint64(1) << uint(level-geometry.LevelOf(failedAt))
+	next := (failedAt + 1) * d
+	if next <= cand {
+		next = cand + 1
+	}
+	return next
+}
+
+// deliver publishes a reserved node in index[] and returns its offset.
+func (h *Handle) deliver(n uint64) uint64 {
+	geo := h.a.geo
+	offset := geo.OffsetOf(n)
+	h.a.index[geo.UnitIndex(offset)].Store(uint32(n))
+	h.stats.Allocs++
+	return offset
 }
 
 // tryAlloc reserves node n and propagates partial occupancy to the max

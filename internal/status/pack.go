@@ -25,6 +25,7 @@ const (
 	laneMSB  uint64 = 0x8080808080808080 // high bit of every lane
 	lane7F   uint64 = 0x7F7F7F7F7F7F7F7F
 	busyAll  uint64 = uint64(Busy) * laneLSB // Busy mask in every lane
+	occAll   uint64 = uint64(Occ) * laneLSB
 	coalAll  uint64 = uint64(CoalLeft|CoalRight) * laneLSB
 	statMask uint64 = uint64(Mask) * laneLSB
 )
@@ -129,6 +130,17 @@ func FirstFreeLane(word uint64, from int) int {
 	m |= laneLSB & (1<<(FieldBits*from) - 1)
 	z := (m - laneLSB) & ^m & laneMSB
 	return bits.TrailingZeros64(z) / FieldBits // TrailingZeros64(0) = 64 -> 8
+}
+
+// FirstUnreservedLane returns the lowest lane index j in [from,
+// LanesPerWord) whose Occ bit is clear, or LanesPerWord when every
+// remaining lane is itself reserved. Partial occupancy (OccLeft/OccRight
+// without Occ) does not count: such a lane's subtree may still hold free
+// nodes. The level scan uses it to hop over a run of reserved ancestors
+// in one step.
+func FirstUnreservedLane(word uint64, from int) int {
+	z := ^word & occAll &^ (1<<(FieldBits*from) - 1)
+	return bits.TrailingZeros64(z) / FieldBits
 }
 
 // alignedMSB[k] holds the high bits of the lanes that can start an

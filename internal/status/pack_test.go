@@ -155,3 +155,59 @@ func TestQuickFirstFreeRun(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// firstUnreservedLaneRef is the per-lane reference for FirstUnreservedLane.
+func firstUnreservedLaneRef(w uint64, from int) int {
+	for j := from; j < LanesPerWord; j++ {
+		if !IsOcc(Field(w, j)) {
+			return j
+		}
+	}
+	return LanesPerWord
+}
+
+func TestFirstUnreservedLane(t *testing.T) {
+	cases := []struct {
+		w    uint64
+		from int
+		want int
+	}{
+		{0, 0, 0},
+		{0, 8, 8},
+		{Fill(0, 8, Busy), 0, 8},
+		{Fill(0, 8, Busy), 8, 8},
+		{Fill(0, 4, Busy), 1, 4},
+		// Partially occupied lanes are not reserved: never skipped.
+		{Fill(0, 8, OccLeft), 0, 0},
+		{Fill(0, 8, OccLeft|OccRight), 3, 3},
+		{WithField(Fill(0, 3, Occ), 3, OccRight|CoalLeft), 0, 3},
+		// Narrow top levels use only the low lanes of word 0; the unused
+		// lanes read clear, so a fully reserved narrow level ends on its
+		// width (one past its last node).
+		{Fill(0, 1, Busy), 1, 1},
+		{Fill(0, 2, Busy), 1, 2},
+		{Fill(0, 4, Busy), 2, 4},
+	}
+	for _, c := range cases {
+		if got := FirstUnreservedLane(c.w, c.from); got != c.want {
+			t.Errorf("FirstUnreservedLane(%#x, %d) = %d, want %d", c.w, c.from, got, c.want)
+		}
+	}
+}
+
+// Property: FirstUnreservedLane agrees with the per-lane reference on
+// full words and on narrow-level words (lanes at or past the width
+// clear), for every start including one past the end.
+func TestQuickFirstUnreservedLane(t *testing.T) {
+	f := func(w uint64, from, widthSel uint8) bool {
+		w &= statMask
+		if width := 1 << (widthSel % 4); width < LanesPerWord { // 1, 2, 4 or a full word
+			w &= FieldMask(0, width)
+		}
+		ff := int(from % 9)
+		return FirstUnreservedLane(w, ff) == firstUnreservedLaneRef(w, ff)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 4000}); err != nil {
+		t.Error(err)
+	}
+}
