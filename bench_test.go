@@ -438,12 +438,11 @@ func BenchmarkAblationFrontend(b *testing.B) {
 // Larson pattern (cross-worker frees, the workload that exercises both
 // the magazines and the router): the bare back-end against the
 // multi-instance router, the caching front-end, and the full
-// cached+multi production composition the paper's conclusions call for.
+// depot+multi production composition the paper's conclusions call for.
 func BenchmarkStackCachedMulti(b *testing.B) {
 	const slots = 2048
 	stacks := []string{
-		"4lvl-nb", "multi4+4lvl-nb", "cached+4lvl-nb", "cached+multi4+4lvl-nb",
-		"depot+4lvl-nb", "depot+multi4+4lvl-nb",
+		"4lvl-nb", "multi4+4lvl-nb", "depot+4lvl-nb", "depot+multi4+4lvl-nb",
 	}
 	for _, variant := range stacks {
 		for _, threads := range benchThreads() {

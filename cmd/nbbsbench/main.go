@@ -2,16 +2,17 @@
 // allocator variants, thread counts and request sizes, on freshly built
 // allocators. Composed layer stacks are registered variants too, so the
 // paper's future-work compositions sweep like any leaf allocator:
-// "cached+4lvl-nb" (front-end magazines), "multi4+4lvl-nb" (4-instance
-// NUMA-style router splitting -total), and "cached+multi4+4lvl-nb".
+// "depot+4lvl-nb" (front-end magazines with the shared depot),
+// "multi4+4lvl-nb" (4-instance NUMA-style router splitting -total), and
+// "depot+multi4+4lvl-nb".
 //
 // Examples:
 //
 //	nbbsbench -workload linux-scalability -threads 4,8,16 -sizes 8,128 -scale 0.01
 //	nbbsbench -workload larson -alloc 4lvl-nb,buddy-sl -csv
-//	nbbsbench -workload larson -alloc 4lvl-nb,cached+multi4+4lvl-nb -threads 8
+//	nbbsbench -workload larson -alloc 4lvl-nb,depot+multi4+4lvl-nb -threads 8
 //	nbbsbench -workload constant-occupancy -scale 1 -reps 3   # paper volume
-//	nbbsbench -workload remote-free -alloc cached+multi4+4lvl-nb,depot+multi4+4lvl-nb \
+//	nbbsbench -workload remote-free -alloc multi4+4lvl-nb,depot+multi4+4lvl-nb \
 //	    -json -label pr2 > BENCH_pr2.json
 //	nbbsbench -workload frag -alloc 4lvl-nb -threads 8 -cpuprofile cpu.prof \
 //	    && go tool pprof -top cpu.prof   # diagnose a hot-path regression

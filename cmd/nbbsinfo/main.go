@@ -4,22 +4,23 @@
 // needs — a capacity-planning and teaching aid.
 //
 // With -demo-ops it additionally builds a composed allocator stack
-// (variant, optional multi-instance router, optional caching front-end,
-// optional materialized region), drives a short concurrent workload, and
-// reports each layer's counters separately: front-end magazine hits and
-// spills, routing fallbacks, back-end RMW/CAS traffic.
+// (variant, optional multi-instance router, optional caching front-end
+// with its depot, optional materialized region), drives a short
+// concurrent workload, and reports each layer's counters separately:
+// front-end magazine hits and spills, routing fallbacks, back-end RMW/CAS
+// traffic.
 //
 // Examples:
 //
 //	nbbsinfo -total 67108864 -min 8 -max 16384
 //	nbbsinfo -total 16777216 -min 64 -max 65536 \
-//	    -instances 4 -cached -materialize -demo-ops 200000
+//	    -instances 4 -depot -materialize -demo-ops 200000
 //	nbbsinfo -instances 4 -depot -demo-ops 200000   # depot_* layer counters
 //	nbbsinfo -instances 4 -depot -slab -demo-ops 200000  # per-class slab table
 //	nbbsinfo -instances 2 -elastic -elastic-max 4 -demo-ops 400000
 //	    # watermark config, per-instance utilization, lifecycle counters
 //	nbbsinfo -instances 2 -elastic -elastic-max 4 -mem -demo-ops 400000
-//	    # mapped windows: per-slot commit map and commit/decommit totals
+//	    # mapped windows: per-slot commit map with NUMA nodes, commit totals
 //	nbbsinfo -instances 2 -elastic -mem -latency -events -demo-ops 400000
 //	    # per-layer latency percentile table and the flight-recorder dump
 //	nbbsinfo -instances 2 -elastic -elastic-policy predictive \
@@ -49,15 +50,11 @@ func main() {
 		maxSize     = flag.Uint64("max", 16<<10, "maximum request size in bytes (power of two)")
 		variant     = flag.String("variant", nbbs.Variant4Lvl, "allocator variant for -demo-ops")
 		instances   = flag.Int("instances", 1, "back-end instances (multi-instance router layer)")
-		cached      = flag.Bool("cached", false, "layer the caching front-end over the back-end")
-		magazine    = flag.Int("magazine", 0, "front-end per-class magazine capacity (0 = default)")
-		depot       = flag.Bool("depot", false, "attach the shared magazine depot to the front-end (implies -cached)")
+		depot       = flag.Bool("depot", false, "layer the caching front-end (per-worker magazines + shared depot) over the back-end")
 		slabFlag    = flag.Bool("slab", false, "layer the size-class slab over the stack (prints the per-class run/occupancy table)")
 		slabCutoff  = flag.Uint64("slab-cutoff", 0, "largest slab class in bytes (0 = default, clamped to the geometry)")
 		materialize = flag.Bool("materialize", false, "back the offset space with real memory")
 		mapped      = flag.Bool("mem", false, "back instance windows with mapped memory following the slot lifecycle (prints the commit map)")
-		sharded     = flag.Bool("shard", false, "layer per-CPU sharded routing over the router (prints per-shard counters; with -mem, the window NUMA-node map)")
-		shards      = flag.Int("shards", 0, "shard count for -shard (0 = GOMAXPROCS)")
 		elastic     = flag.Bool("elastic", false, "wrap the router with the elastic capacity manager (demo polls it in the background)")
 		elasticMin  = flag.Int("elastic-min", 1, "elastic instance floor")
 		elasticMax  = flag.Int("elastic-max", 0, "elastic instance cap (0 = twice the initial instances)")
@@ -121,15 +118,11 @@ func main() {
 			cfg:         nbbs.Config{Total: *total, MinSize: *minSize, MaxSize: *maxSize},
 			variant:     *variant,
 			instances:   *instances,
-			cached:      *cached,
-			magazine:    *magazine,
 			depot:       *depot,
 			slab:        *slabFlag,
 			slabCutoff:  *slabCutoff,
 			materialize: *materialize,
 			mapped:      *mapped,
-			sharded:     *sharded,
-			shards:      *shards,
 			elastic:     *elastic,
 			elasticMin:  *elasticMin,
 			elasticMax:  *elasticMax,
@@ -147,15 +140,11 @@ type stackConfig struct {
 	cfg         nbbs.Config
 	variant     string
 	instances   int
-	cached      bool
-	magazine    int
 	depot       bool
 	slab        bool
 	slabCutoff  uint64
 	materialize bool
 	mapped      bool
-	sharded     bool
-	shards      int
 	elastic     bool
 	elasticMin  int
 	elasticMax  int
@@ -190,20 +179,14 @@ func demo(sc stackConfig) {
 		}
 		opts = append(opts, nbbs.WithElastic(ec))
 	}
-	if sc.cached {
-		opts = append(opts, nbbs.WithFrontend(sc.magazine))
-	}
 	if sc.depot {
-		opts = append(opts, nbbs.WithDepot(0))
+		opts = append(opts, nbbs.WithDepot())
 	}
 	if sc.slab {
 		opts = append(opts, nbbs.WithSlab(sc.slabCutoff))
 	}
 	if sc.mapped {
 		opts = append(opts, nbbs.WithMappedMemory())
-	}
-	if sc.sharded {
-		opts = append(opts, nbbs.WithSharding(sc.shards))
 	}
 	if sc.materialize {
 		opts = append(opts, nbbs.WithMaterializedRegion())
@@ -314,22 +297,6 @@ func demo(sc stackConfig) {
 			fmt.Printf("  %-10d %12d %8d %10d %10d\n", ci.Size, ci.ObjsPerRun, ci.Runs, ci.Live, ci.Free)
 		}
 	}
-	if sh := b.Sharded(); sh != nil {
-		tot := sh.Totals()
-		hitPct := 0.0
-		if tot.Hits+tot.Misses > 0 {
-			hitPct = float64(tot.Hits) / float64(tot.Hits+tot.Misses) * 100
-		}
-		fmt.Printf("\nper-CPU sharded routing: %d shards (%.1f%% cache hit rate)\n", tot.Shards, hitPct)
-		fmt.Printf("  totals: hits=%d misses=%d local_frees=%d remote_frees=%d stash_drains=%d flushed=%d pin_wraps=%d pin_fallbacks=%d\n",
-			tot.Hits, tot.Misses, tot.LocalFrees, tot.RemoteFrees, tot.StashDrains, tot.Flushed, tot.PinWraps, tot.PinFallbacks)
-		fmt.Printf("  %-6s %10s %10s %12s %13s %13s %10s %8s %8s\n",
-			"shard", "hits", "misses", "local frees", "remote frees", "stash drains", "flushed", "cached", "stashed")
-		for _, si := range sh.ShardInfos() {
-			fmt.Printf("  %-6d %10d %10d %12d %13d %13d %10d %8d %8d\n",
-				si.Shard, si.Hits, si.Misses, si.LocalFrees, si.RemoteFrees, si.StashDrains, si.Flushed, si.CachedNow, si.StashedNow)
-		}
-	}
 	if r := b.Memory(); r != nil {
 		s := r.Stats()
 		backing := "portable fallback (bookkeeping only)"
@@ -352,24 +319,18 @@ func demo(sc stackConfig) {
 			if committed {
 				state = "committed"
 			}
-			node := ""
-			if r.NUMAPolicy() && k < len(nodes) {
-				if nodes[k] >= 0 {
-					node = fmt.Sprintf("  numa-node=%d", nodes[k])
-				} else {
-					node = "  numa-node=unplaced"
-				}
+			node := "  numa-node=unplaced"
+			if nodes[k] >= 0 {
+				node = fmt.Sprintf("  numa-node=%d", nodes[k])
 			}
 			fmt.Printf("    window %-3d [%#012x, %#012x)  %s%s\n",
 				k, uint64(k)*r.WindowSize(), uint64(k+1)*r.WindowSize(), state, node)
 		}
-		if r.NUMAPolicy() {
-			aware := "policy recorded only (single node or no syscalls)"
-			if nbbs.NUMABacking() {
-				aware = "mbind preferred placement active"
-			}
-			fmt.Printf("  numa: %d online node(s); %s\n", len(nbbs.NUMANodes()), aware)
+		aware := "policy recorded only (single node or no syscalls)"
+		if nbbs.NUMABacking() {
+			aware = "mbind preferred placement active"
 		}
+		fmt.Printf("  numa: %d online node(s); %s\n", len(nbbs.NUMANodes()), aware)
 	}
 
 	// Migration showcase: strand a few chunks on a slot, drain it, and

@@ -1,9 +1,11 @@
 package nbbs_test
 
 import (
+	"errors"
 	"testing"
 
 	nbbs "repro"
+	"repro/internal/stack"
 )
 
 // shape fingerprints the layers a stack was built with, so the
@@ -13,7 +15,6 @@ func shape(b *nbbs.Buddy) map[string]bool {
 		"multi":        b.Multi() != nil,
 		"elastic":      b.Elastic() != nil,
 		"slab":         b.Slab() != nil,
-		"sharded":      b.Sharded() != nil,
 		"mapped":       b.Mapped(),
 		"materialized": b.Materialized(),
 		"telemetry":    b.Telemetry() != nil,
@@ -79,30 +80,14 @@ func TestConfigOptionEquivalence(t *testing.T) {
 			name: "frontend-depot-slab",
 			cfg: func() nbbs.Config {
 				c := geo
-				c.Frontend.Cached = true
-				c.Frontend.Magazine = 16
 				c.Frontend.Depot = true
-				c.Frontend.DepotCapacity = 8
-				c.Frontend.BatchRefill = 4
 				c.Frontend.Slab = true
 				return c
 			}(),
 			opts: []nbbs.Option{
-				nbbs.WithFrontend(16),
-				nbbs.WithDepot(8),
-				nbbs.WithBatchRefill(4),
+				nbbs.WithDepot(),
 				nbbs.WithSlab(0),
 			},
-		},
-		{
-			name: "sharded",
-			cfg: func() nbbs.Config {
-				c := geo
-				c.Frontend.Sharded = true
-				c.Frontend.Shards = 2
-				return c
-			}(),
-			opts: []nbbs.Option{nbbs.WithSharding(2)},
 		},
 		{
 			name: "materialized",
@@ -192,5 +177,18 @@ func TestConfigElasticPolicy(t *testing.T) {
 	}
 	if _, ok := mgr.Policy().(*nbbs.PredictivePolicy); !ok {
 		t.Fatalf("policy type %T", mgr.Policy())
+	}
+}
+
+// TestMigrationRejectedUnderCache: live-chunk migration moves offsets
+// that the depot's magazines and the slab's runs would still hand out,
+// so the facade refuses the combination at build time.
+func TestMigrationRejectedUnderCache(t *testing.T) {
+	for _, fe := range []nbbs.FrontendConfig{{Depot: true}, {Slab: true}} {
+		cfg := nbbs.Config{Total: 1 << 20, MinSize: 64, MaxSize: 1 << 16, Frontend: fe}
+		cfg.Elastic = &nbbs.ElasticConfig{MaxInstances: 4, Migration: nbbs.MigrationConfig{Enabled: true}}
+		if _, err := nbbs.New(cfg); !errors.Is(err, stack.ErrMigrationCached) {
+			t.Errorf("frontend %+v with migration: err = %v, want ErrMigrationCached", fe, err)
+		}
 	}
 }

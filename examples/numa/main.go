@@ -1,24 +1,20 @@
-// NUMA: per-CPU sharded routing with NUMA-aware memory placement — the
+// NUMA: node-local memory placement over the multi-instance router — the
 // deployment the paper's related-work discussion motivates, made real.
 //
-// The stack is the full PR 6 composition: per-CPU shards over the
-// multi-instance router with mapped, NUMA-placed backing memory. Every
-// worker's operations key to the shard of the CPU they run on; each
-// shard prefers its own instance, whose window was committed onto the
-// NUMA node of that CPU (mbind preferred policy before the first touch).
-// The demo drives a mixed load, then:
+// The stack is a mapped multi-instance router. Every mapped region
+// places its windows: window k is committed onto the NUMA node of cpu
+// (k mod NumCPU) — mbind preferred policy before the first touch — so a
+// worker pinned to instance k on that cpu walks a node-local tree and
+// touches node-local payload. The demo pins worker i to instance
+// (i mod instances) with Multi().NewHandleOn, drives a mixed local
+// churn, then:
 //
-//   - prints the shard counters (cache hit rate, remote-free stash
-//     traffic) and the window -> NUMA-node map;
+//   - prints the window -> NUMA-node map;
 //   - asserts the placement: for every committed window, the node the
 //     kernel reports for its first page (get_mempolicy) must equal the
-//     node the policy assigned (NodeMap). On single-node machines and
+//     node the region assigned (NodeMap). On single-node machines and
 //     platforms without the syscalls the assertion passes trivially —
-//     the policy is bookkeeping-only there, and the demo says so.
-//
-// A second phase skews the load (every worker frees chunks a designated
-// producer allocated) to show the remote-free stash path absorbing
-// cross-shard traffic.
+//     placement is bookkeeping-only there, and the demo says so.
 package main
 
 import (
@@ -35,7 +31,7 @@ import (
 
 func main() {
 	var (
-		instances = flag.Int("instances", 4, "back-end instances (one per shard when possible)")
+		instances = flag.Int("instances", 4, "back-end instances (workers are pinned round-robin)")
 		workers   = flag.Int("workers", 8, "worker goroutines")
 		ops       = flag.Int("ops", 200000, "alloc/free pairs per worker")
 		variant   = flag.String("variant", nbbs.Variant4Lvl, "allocator variant per instance")
@@ -46,22 +42,19 @@ func main() {
 		nbbs.WithVariant(*variant),
 		nbbs.WithInstances(*instances),
 		nbbs.WithMappedMemory(),
-		nbbs.WithSharding(0), // GOMAXPROCS shards
 	)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sh := b.Sharded()
-	fmt.Printf("%s: %d workers, %d shards over %d instances\n",
-		b.Name(), *workers, sh.Shards(), b.Instances())
+	fmt.Printf("%s: %d workers pinned over %d instances\n", b.Name(), *workers, b.Instances())
 	if nbbs.NUMABacking() {
 		fmt.Printf("NUMA: %d online nodes, mbind placement active\n", len(nbbs.NUMANodes()))
 	} else {
 		fmt.Printf("NUMA: single node or no syscalls — placement is bookkeeping only\n")
 	}
 
-	// Phase 1: CPU-local churn. Every worker allocates and frees on its
-	// own shard; the steady state should be nearly all cache hits.
+	// Node-local churn: worker w allocates and frees on its own instance,
+	// whose window sits on the node of the cpu it is expected to run on.
 	sizes := []uint64{64, 256, 1024, 8 << 10}
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -70,7 +63,7 @@ func main() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			h := b.NewHandle()
+			h := b.Multi().NewHandleOn(w % b.Instances())
 			rng := rand.New(rand.NewSource(int64(w)))
 			var live []uint64
 			for i := 0; i < *ops; i++ {
@@ -88,50 +81,16 @@ func main() {
 		}()
 	}
 	wg.Wait()
-	local := time.Since(start)
-	tot := sh.Totals()
-	hitPct := float64(tot.Hits) / float64(tot.Hits+tot.Misses) * 100
+	elapsed := time.Since(start)
 	s := b.Stats()
-	fmt.Printf("\nlocal churn: %d ops in %v (%.2f Mops/s), %.1f%% shard-cache hits\n",
-		s.OpsTotal(), local.Round(time.Millisecond),
-		float64(s.OpsTotal())/local.Seconds()/1e6, hitPct)
-
-	// Phase 2: producer/consumer skew — workers free chunks a single
-	// producer handle allocated, so most frees are remote to the freeing
-	// shard and flow through the owners' inbound stashes.
-	prod := b.NewHandle()
-	ch := make(chan uint64, 1024)
-	var cwg sync.WaitGroup
-	consumers := *workers
-	for w := 0; w < consumers; w++ {
-		cwg.Add(1)
-		go func() {
-			defer cwg.Done()
-			h := b.NewHandle()
-			for off := range ch {
-				h.Free(off)
-			}
-		}()
-	}
-	start = time.Now()
-	remoteOps := *ops * 2
-	for i := 0; i < remoteOps; i++ {
-		if off, ok := prod.Alloc(sizes[i%len(sizes)]); ok {
-			ch <- off
-		}
-	}
-	close(ch)
-	cwg.Wait()
-	remote := time.Since(start)
-	tot = sh.Totals()
-	fmt.Printf("remote-free skew: %d pairs in %v (%.2f Mops/s), %d stash pushes, %d stash drains\n",
-		remoteOps, remote.Round(time.Millisecond),
-		float64(2*remoteOps)/remote.Seconds()/1e6, tot.RemoteFrees, tot.StashDrains)
+	fmt.Printf("\nlocal churn: %d ops in %v (%.2f Mops/s), %d fallbacks off the pinned instance\n",
+		s.OpsTotal(), elapsed.Round(time.Millisecond),
+		float64(s.OpsTotal())/elapsed.Seconds()/1e6, b.Multi().RouteStats().Fallbacks)
 
 	b.Scrub()
 
 	// Placement report and assertion: the kernel's answer for each
-	// committed window must match the node the policy assigned.
+	// committed window must match the node the region assigned.
 	r := b.Memory()
 	nodes := r.NodeMap()
 	fmt.Printf("\nwindow -> NUMA node map:\n")

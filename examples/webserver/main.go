@@ -7,7 +7,7 @@
 // parks it in a shared connection table, and releases whatever buffer the
 // displaced connection held — usually one allocated by a different worker.
 // The allocator is a composed layer stack (the paper's front-end /
-// back-end composition, built with WithFrontend and optionally
+// back-end composition, built with WithDepot and optionally
 // WithInstances): every NewHandle is a caching handle, so most requests
 // never touch the back-end at all; the run reports each layer's share of
 // the traffic.
@@ -49,7 +49,7 @@ func main() {
 
 	opts := []nbbs.Option{
 		nbbs.WithVariant(*variant),
-		nbbs.WithFrontend(32),
+		nbbs.WithDepot(),
 		nbbs.WithTelemetry(nbbs.TelemetryConfig{}),
 	}
 	if *instances > 1 {
@@ -92,12 +92,11 @@ func main() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// The stack was built WithFrontend, so NewHandle is a caching
-			// handle; the assertions below reach its magazine face.
+			// The stack was built WithDepot, so NewHandle is a caching
+			// handle; Flush returns its magazines on exit.
 			h := b.NewHandle().(interface {
 				nbbs.Handle
 				Flush()
-				CacheStats() nbbs.CacheStats
 			})
 			defer h.Flush()
 			rng := rand.New(rand.NewSource(int64(w) + 1))
@@ -115,9 +114,6 @@ func main() {
 					served.Add(1)
 				}
 			}
-			cs := h.CacheStats()
-			fmt.Printf("worker %d: %5.1f%% of allocations served from magazines (%d hits, %d misses, %d spills)\n",
-				w, 100*float64(cs.Hits)/float64(cs.Hits+cs.Misses), cs.Hits, cs.Misses, cs.Spills)
 		}()
 	}
 	wg.Wait()
@@ -134,6 +130,11 @@ func main() {
 	for _, layer := range b.LayerStats() {
 		fmt.Printf("  %-24s allocs=%-10d frees=%-10d extra=%v\n",
 			layer.Layer, layer.Stats.Allocs, layer.Stats.Frees, layer.Extra)
+		if layer.Layer == "depot" {
+			hits, misses := layer.Extra["hits"], layer.Extra["misses"]
+			fmt.Printf("    %.1f%% of handle allocations served from magazines or the depot (%d hits, %d misses, %d spills)\n",
+				100*float64(hits)/float64(hits+misses), hits, misses, layer.Extra["spills"])
+		}
 	}
 	fmt.Printf("latency percentiles (sampled, ns):\n")
 	for _, ll := range b.Telemetry().Latencies() {

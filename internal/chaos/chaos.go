@@ -119,9 +119,9 @@ func buildComposite(label string, in *fault.Injector, reg *telemetry.Registry) (
 	case "mapped+elastic":
 		// The bare router composite also runs the Migrate step: Polls may
 		// move live chunks off draining slots, widening the fault surface
-		// to mid-migration failures. The slab composite must NOT enable it
-		// — slab runs hold router-live chunks whose offsets are cached in
-		// the class headers, so a move would strand them.
+		// to mid-migration failures. The slab composite cannot enable it:
+		// Build rejects migration under the slab, whose runs hold
+		// router-live chunks a move would strand.
 		spec.Elastic.Migration = elastic.MigrationConfig{Enabled: true}
 	case "slab+mapped+elastic":
 		spec.Slab = true

@@ -37,9 +37,10 @@ const (
 )
 
 // MigrationConfig tunes the migration step of the retire path. The zero
-// value disables migration (the pre-PR-10 behavior): moving a chunk
-// changes its offset, so only owners prepared to track moves through
-// OnMigrate hooks should enable it.
+// value disables migration: moving a chunk changes its offset, so only
+// owners prepared to track moves through OnMigrate hooks should enable
+// it. stack.Build rejects it under the offset-caching layers (the depot
+// front-end and the slab), whose parked offsets a move would strand.
 type MigrationConfig struct {
 	// Enabled turns the migration step on.
 	Enabled bool

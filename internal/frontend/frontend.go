@@ -6,18 +6,15 @@
 //
 // Each worker handle keeps small per-size-class magazines of chunks
 // obtained from the back-end: allocations are served from the magazine
-// when possible and frees refill it, spilling half back to the back-end
-// when a magazine overflows. This is the classic quick-list/magazine
-// discipline of cached kernel allocators [3]; the interesting property in
-// combination with the non-blocking back-end is that magazine misses and
-// spills — the cross-thread contention points of a cached design — hit an
-// allocator that does not serialize them.
-//
-// With WithDepot the spill path changes discipline: full magazines are
-// exchanged whole with a shared per-size-class depot in O(1), and only
-// depot misses (batch refill) and depot overflows (batch drain) cross
-// into the back-end, through the alloc.BatchAllocator bulk contract (see
-// DESIGN.md, "The bulk-transfer contract and the magazine depot").
+// when possible and frees refill it. This is the classic magazine
+// discipline of cached kernel allocators [3]. A magazine that runs dry or
+// overflows is exchanged whole with a shared per-size-class depot in
+// O(1), and only depot misses (batch refill) and depot overflows (batch
+// drain) cross into the back-end, through the alloc.BatchAllocator bulk
+// contract (see DESIGN.md, "The bulk-transfer contract and the magazine
+// depot"). The interesting property in combination with the non-blocking
+// back-end is that those crossings — the cross-thread contention points
+// of a cached design — hit an allocator that does not serialize them.
 //
 // The front-end is a composable layer (see DESIGN.md): it works over any
 // alloc.Allocator that implements alloc.ChunkSizer — a leaf variant, a
@@ -43,12 +40,13 @@ type Allocator struct {
 	sizer   alloc.ChunkSizer
 	geo     geometry.Geometry
 	magCap  int
-	// depot, when non-nil, is the shared magazine exchange: overflowing
-	// handles park full magazines there in O(1) instead of spilling
-	// chunk-at-a-time, and dry handles grab them back. refill is the
+	// depot is the shared magazine exchange: overflowing handles park
+	// full magazines there in O(1), and dry handles grab them back.
+	// depotCap bounds its retained magazines per class; refill is the
 	// batch size of a back-end refill after a depot miss.
-	depot  *Depot
-	refill int
+	depot    *Depot
+	depotCap int
+	refill   int
 
 	mu          sync.Mutex
 	handles     []*Handle
@@ -71,27 +69,11 @@ type Allocator struct {
 // Option tunes the front-end beyond the magazine capacity.
 type Option func(*Allocator)
 
-// WithDepot attaches the shared magazine depot: full magazines are
-// exchanged with a per-size-class global pool in O(1), and only depot
-// misses (refill) and overflows (drain) cross into the back-end — as
-// batches via the alloc.BatchAllocator contract, not chunk-at-a-time.
-// capacity bounds the full magazines retained per class (0 = default).
+// WithDepot sets how many full magazines the depot retains per size
+// class (0 = DefaultDepotCapacity); beyond it an overflowing magazine
+// drains to the back-end as one batch.
 func WithDepot(capacity int) Option {
-	return func(a *Allocator) {
-		classes := a.geo.Depth - a.geo.MaxLevel + 1
-		a.depot = newDepot(classes, capacity)
-	}
-}
-
-// WithBatchRefill sets how many chunks a back-end batch refill brings up
-// after a depot miss (default: half a magazine). Only meaningful with
-// WithDepot.
-func WithBatchRefill(n int) Option {
-	return func(a *Allocator) {
-		if n > 0 {
-			a.refill = n
-		}
-	}
+	return func(a *Allocator) { a.depotCap = capacity }
 }
 
 // New layers a front-end over the given back-end, which must implement
@@ -107,35 +89,24 @@ func New(backend alloc.Allocator, magCap int, opts ...Option) (*Allocator, error
 		magCap = DefaultMagazine
 	}
 	a := &Allocator{backend: backend, sizer: sizer, geo: backend.Geometry(), magCap: magCap,
-		drainWins: make(map[uint64]uint64)}
-	a.refill = magCap / 2
-	if a.refill == 0 {
-		a.refill = 1
-	}
+		refill: max(1, magCap/2), drainWins: make(map[uint64]uint64)}
 	for _, o := range opts {
 		o(a)
 	}
+	a.depot = newDepot(a.geo.Depth-a.geo.MaxLevel+1, a.depotCap)
 	return a, nil
 }
 
 // Name implements alloc.Allocator.
-func (a *Allocator) Name() string {
-	if a.depot != nil {
-		return "depot+" + a.backend.Name()
-	}
-	return "cached+" + a.backend.Name()
-}
+func (a *Allocator) Name() string { return "depot+" + a.backend.Name() }
 
-// Depot exposes the shared magazine depot (nil without WithDepot).
+// Depot exposes the shared magazine depot.
 func (a *Allocator) Depot() *Depot { return a.depot }
 
 // SetEventSink installs the flight-recorder publish hook on the depot's
-// back-end crossings (refill/drain). A no-op without WithDepot — the
-// depot-less spill path has no batched crossings worth recording.
+// back-end crossings (refill/drain).
 func (a *Allocator) SetEventSink(fn func(event string, a, b uint64)) {
-	if a.depot != nil {
-		a.depot.SetEventSink(fn)
-	}
+	a.depot.SetEventSink(fn)
 }
 
 // Geometry implements alloc.Allocator.
@@ -252,10 +223,8 @@ func (a *Allocator) Scrub() {
 	for _, h := range handles {
 		h.Flush()
 	}
-	if a.depot != nil {
-		for _, mag := range a.depot.DrainAll() {
-			alloc.FreeBatchOf(a.backend, mag)
-		}
+	for _, mag := range a.depot.DrainAll() {
+		alloc.FreeBatchOf(a.backend, mag)
 	}
 	if s, ok := a.backend.(alloc.Scrubber); ok {
 		s.Scrub()
@@ -278,12 +247,10 @@ func (a *Allocator) Scrub() {
 // every parking worker has performed one operation — no idle-worker
 // churn or quiescent Scrub required.
 func (a *Allocator) DrainDepotRange(lo, hi uint64) {
-	if a.depot != nil {
-		// No front-end stats here: a drained chunk's free was counted when
-		// a worker parked it, exactly like the Scrub-path depot drain.
-		for _, mag := range a.depot.DrainRange(lo, hi) {
-			alloc.FreeBatchOf(a.backend, mag)
-		}
+	// No front-end stats here: a drained chunk's free was counted when a
+	// worker parked it, exactly like the Scrub-path depot drain.
+	for _, mag := range a.depot.DrainRange(lo, hi) {
+		alloc.FreeBatchOf(a.backend, mag)
 	}
 	a.drainMu.Lock()
 	if hi > a.drainWins[lo] {
@@ -308,29 +275,24 @@ func (a *Allocator) drainWindows() map[uint64]uint64 {
 // magazine counters, then the wrapped stack's entries.
 func (a *Allocator) LayerStats() []alloc.LayerStats {
 	cache := a.CacheTotals()
-	layer := "cached"
-	extra := map[string]uint64{
-		"hits":    cache.Hits,
-		"misses":  cache.Misses,
-		"spills":  cache.Spills,
-		"refills": cache.Refills,
-	}
-	if a.depot != nil {
-		layer = "depot"
-		ds := a.depot.Stats()
-		extra["depot_full_pushes"] = ds.FullPushes
-		extra["depot_full_pops"] = ds.FullPops
-		extra["depot_pop_misses"] = ds.PopMisses
-		extra["depot_drains"] = ds.Drains
-		extra["depot_drained_chunks"] = ds.DrainedChunks
-		extra["depot_batch_refills"] = ds.Refills
-		extra["depot_refilled_chunks"] = ds.RefilledChunks
-		extra["depot_retained_chunks"] = uint64(a.depot.Retained())
-	}
+	ds := a.depot.Stats()
 	entry := alloc.LayerStats{
-		Layer: layer,
+		Layer: "depot",
 		Stats: a.Stats(),
-		Extra: extra,
+		Extra: map[string]uint64{
+			"hits":                  cache.Hits,
+			"misses":                cache.Misses,
+			"spills":                cache.Spills,
+			"refills":               cache.Refills,
+			"depot_full_pushes":     ds.FullPushes,
+			"depot_full_pops":       ds.FullPops,
+			"depot_pop_misses":      ds.PopMisses,
+			"depot_drains":          ds.Drains,
+			"depot_drained_chunks":  ds.DrainedChunks,
+			"depot_batch_refills":   ds.Refills,
+			"depot_refilled_chunks": ds.RefilledChunks,
+			"depot_retained_chunks": uint64(a.depot.Retained()),
+		},
 	}
 	return append([]alloc.LayerStats{entry}, alloc.StackStats(a.backend)...)
 }
@@ -409,10 +371,9 @@ func (h *Handle) checkDrain() {
 	}
 }
 
-// Alloc serves from the size class magazine. On an empty magazine a
-// depot-backed handle exchanges it for a full one in O(1), and only a
-// depot miss reaches the back-end — as one batch refill. Without a depot
-// the miss goes straight down, chunk-at-a-time (the PR-1 discipline).
+// Alloc serves from the size class magazine. An empty magazine is
+// exchanged for a full one from the depot in O(1), and only a depot miss
+// reaches the back-end — as one batch refill.
 func (h *Handle) Alloc(size uint64) (uint64, bool) {
 	h.checkDrain()
 	if size > h.a.geo.MaxSize {
@@ -428,67 +389,48 @@ func (h *Handle) Alloc(size uint64) (uint64, bool) {
 		h.stats.Allocs++
 		return off, true
 	}
-	if d := h.a.depot; d != nil {
-		if mag, ok := d.ExchangeFull(cls, h.mags[cls]); ok {
-			off := mag[len(mag)-1]
-			h.mags[cls] = mag[:len(mag)-1]
-			h.cache.Hits++
-			h.stats.Allocs++
-			return off, true
-		}
-		// Depot miss: one back-end trip restocks the magazine. The batch
-		// requests the class's reserved size so every refilled chunk
-		// classifies back into this magazine.
-		batch := alloc.HandleAllocBatch(h.back, h.a.geo.SizeOfLevel(level), h.a.refill)
-		h.cache.Misses++
-		if len(batch) == 0 {
-			h.stats.AllocFails++
-			return 0, false
-		}
-		off := batch[len(batch)-1]
-		h.mags[cls] = append(h.mags[cls], batch[:len(batch)-1]...)
-		d.noteRefill(len(batch))
+	d := h.a.depot
+	if mag, ok := d.ExchangeFull(cls, h.mags[cls]); ok {
+		off := mag[len(mag)-1]
+		h.mags[cls] = mag[:len(mag)-1]
+		h.cache.Hits++
 		h.stats.Allocs++
 		return off, true
 	}
+	// Depot miss: one back-end trip restocks the magazine. The batch
+	// requests the class's reserved size so every refilled chunk
+	// classifies back into this magazine.
+	batch := alloc.HandleAllocBatch(h.back, h.a.geo.SizeOfLevel(level), h.a.refill)
 	h.cache.Misses++
-	off, ok := h.back.Alloc(size)
-	if ok {
-		h.stats.Allocs++
-	} else {
+	if len(batch) == 0 {
 		h.stats.AllocFails++
+		return 0, false
 	}
-	return off, ok
+	off := batch[len(batch)-1]
+	h.mags[cls] = append(h.mags[cls], batch[:len(batch)-1]...)
+	d.noteRefill(len(batch))
+	h.stats.Allocs++
+	return off, true
 }
 
-// Free pushes the chunk into its class magazine. When the magazine is
-// full a depot-backed handle parks it whole in the depot in O(1) (or, at
-// depot capacity, drains it to the back-end as one batch); without a
-// depot the older half spills chunk-at-a-time as before.
+// Free pushes the chunk into its class magazine. A full magazine is
+// parked whole in the depot in O(1), or, at depot capacity, drained to
+// the back-end as one batch.
 func (h *Handle) Free(offset uint64) {
 	h.checkDrain()
 	size := h.a.sizer.ChunkSize(offset)
 	cls := h.class(h.a.geo.LevelForSize(size))
 	mag := h.mags[cls]
 	if len(mag) >= h.a.magCap {
-		if d := h.a.depot; d != nil {
-			if fresh, ok := d.ExchangeEmpty(cls, mag); ok {
-				if fresh == nil {
-					fresh = make([]uint64, 0, h.a.magCap)
-				}
-				mag = fresh
-			} else {
-				alloc.HandleFreeBatch(h.back, mag)
-				h.cache.Spills += uint64(len(mag))
-				mag = mag[:0]
+		if fresh, ok := h.a.depot.ExchangeEmpty(cls, mag); ok {
+			if fresh == nil {
+				fresh = make([]uint64, 0, h.a.magCap)
 			}
+			mag = fresh
 		} else {
-			spill := len(mag) / 2
-			for _, off := range mag[:spill] {
-				h.back.Free(off)
-				h.cache.Spills++
-			}
-			mag = append(mag[:0], mag[spill:]...)
+			alloc.HandleFreeBatch(h.back, mag)
+			h.cache.Spills += uint64(len(mag))
+			mag = mag[:0]
 		}
 	}
 	h.mags[cls] = append(mag, offset)

@@ -76,9 +76,11 @@ func TestSizeClassSeparation(t *testing.T) {
 	h.Flush()
 }
 
+// TestSpillOnOverflow: with the depot at capacity, an overflowing
+// magazine drains to the back-end instead of growing without bound.
 func TestSpillOnOverflow(t *testing.T) {
 	const mag = 4
-	fe, err := frontend.New(backend(t, "1lvl-nb"), mag)
+	fe, err := frontend.New(backend(t, "1lvl-nb"), mag, frontend.WithDepot(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +103,7 @@ func TestSpillOnOverflow(t *testing.T) {
 	if h.Cached() > mag {
 		t.Fatalf("magazine holds %d chunks, cap %d", h.Cached(), mag)
 	}
-	h.Flush()
+	fe.Scrub()
 	s := fe.Backend().Stats()
 	if s.Allocs != s.Frees {
 		t.Fatalf("back-end leaked: %d allocs vs %d frees", s.Allocs, s.Frees)
@@ -181,7 +183,7 @@ func TestPassThroughConvenience(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fe.Name() != "cached+1lvl-nb" {
+	if fe.Name() != "depot+1lvl-nb" {
 		t.Fatalf("Name = %q", fe.Name())
 	}
 	off, ok := fe.Alloc(64)

@@ -40,7 +40,7 @@ type Sweep struct {
 	Seed int64
 	// Procs, when positive, pins GOMAXPROCS for the whole sweep —
 	// allocator builds included, so GOMAXPROCS-derived construction
-	// parameters (shard counts, conv-pool widths) see the same value the
+	// parameters (conv-pool widths, ring shards) see the same value the
 	// workload runs under — and stamps every cell with it. 0 leaves the
 	// runtime untouched and the cells unstamped.
 	Procs int
@@ -129,7 +129,7 @@ func (s Sweep) Run(progress io.Writer) ([]Cell, error) {
 					last = driver(a, cfg)
 					// Key the cell by the requested registry label: for
 					// composed stacks the display name differs (e.g.
-					// "cached+multi[4x 4lvl-nb]" vs "cached+multi4+4lvl-nb")
+					// "depot+multi[4x 4lvl-nb]" vs "depot+multi4+4lvl-nb")
 					// and tables match on the sweep's labels.
 					last.Allocator = name
 					samples = append(samples, last.Elapsed.Seconds())

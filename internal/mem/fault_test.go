@@ -85,11 +85,7 @@ func TestInjectedLifecycleFailures(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			in := fault.New(1, tc.rule)
-			opts := []mem.Option{mem.WithFaultInjector(in)}
-			if tc.rule.Site == fault.Bind {
-				opts = append(opts, mem.WithNUMAPolicy())
-			}
-			r, err := mem.New(winSize, 1, opts...)
+			r, err := mem.New(winSize, 1, mem.WithFaultInjector(in))
 			if err != nil {
 				t.Fatal(err)
 			}

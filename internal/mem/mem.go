@@ -116,8 +116,8 @@ type window struct {
 	// recommit.
 	committed   bool
 	decommitted bool
-	// node is the NUMA node the window was assigned at commit time under
-	// WithNUMAPolicy (-1 = never placed).
+	// node is the NUMA node the window was assigned at its last commit
+	// (-1 = never committed).
 	node int
 }
 
@@ -126,7 +126,6 @@ type window struct {
 type Region struct {
 	winSize uint64
 	huge    bool
-	numa    bool
 	inj     *fault.Injector
 
 	mu   sync.Mutex
@@ -276,24 +275,22 @@ func (r *Region) Commit(k int) error {
 		r.emit("commit-fail", uint64(k))
 		return fmt.Errorf("mem: committing window %d: %w", k, err)
 	}
-	if r.numa {
-		// Install the placement BEFORE the pre-fault: mbind sets the
-		// VMA's policy and the pre-fault then first-faults every page
-		// onto the preferred node. On single-node machines and platforms
-		// without the syscalls the bind is a no-op but the assignment
-		// still lands in NodeMap.
-		w.node = r.nodeForWindow(k)
-		// Best-effort: a failed bind costs locality, not correctness. The
-		// injector check runs even on single-node machines so bind-fault
-		// schedules exercise this rung of the ladder portably.
-		if err := r.inj.Check(fault.Bind); err != nil {
+	// Install the placement BEFORE the pre-fault: mbind sets the VMA's
+	// policy and the pre-fault then first-faults every page onto the
+	// preferred node. On single-node machines and platforms without the
+	// syscalls no bind is issued but the assignment still lands in
+	// NodeMap.
+	w.node = r.nodeForWindow(k)
+	// Best-effort: a failed bind costs locality, not correctness. The
+	// injector check runs even on single-node machines so bind-fault
+	// schedules exercise this rung of the ladder portably.
+	if err := r.inj.Check(fault.Bind); err != nil {
+		r.bindFails++
+		r.emit("bind-fail", uint64(k))
+	} else if len(numaNodeIDs()) > 1 {
+		if err := osBindNode(w.buf, w.node); err != nil {
 			r.bindFails++
 			r.emit("bind-fail", uint64(k))
-		} else if len(numaNodeIDs()) > 1 {
-			if err := osBindNode(w.buf, w.node); err != nil {
-				r.bindFails++
-				r.emit("bind-fail", uint64(k))
-			}
 		}
 	}
 	if err := osProtectRW(w.buf); err != nil {

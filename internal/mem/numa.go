@@ -8,11 +8,11 @@ import (
 	"unsafe"
 )
 
-// NUMA awareness: a Region built WithNUMAPolicy places each window's
-// pages on the NUMA node of the core expected to allocate from it —
-// window k goes to the node of cpu (k mod NumCPU), matching the per-CPU
-// shard layer's "shard k owns instance k" affinity, so a shard's tree
-// walks and payload touches stay node-local.
+// NUMA awareness: every Region places each window's pages on the NUMA
+// node of the core expected to allocate from it — window k goes to the
+// node of cpu (k mod NumCPU), matching a router whose worker k is pinned
+// to instance k (multi.NewHandleOn), so that worker's tree walks and
+// payload touches stay node-local.
 //
 // On Linux the placement is real: node topology is discovered from
 // sysfs (/sys/devices/system/node), the preferred-node policy is
@@ -24,12 +24,6 @@ import (
 // machines — the same API degrades to a no-op that reports one node, so
 // callers never need build tags: the policy bookkeeping (NodeMap) works
 // identically, only the physical effect is absent.
-
-// WithNUMAPolicy enables per-window NUMA placement for commits: window k
-// is bound to the node of core (k mod NumCPU) before its pages are
-// touched. A no-op on single-node machines and on platforms without
-// NUMA syscalls; the assigned node still shows up in NodeMap either way.
-func WithNUMAPolicy() Option { return func(r *Region) { r.numa = true } }
 
 // NUMANodes returns the online NUMA node ids, smallest first. Platforms
 // without discoverable topology report a single node 0.
@@ -54,12 +48,9 @@ func NodeOfAddr(b []byte) (int, bool) {
 	return osNodeOfAddr(unsafe.Pointer(&b[0]))
 }
 
-// NUMAPolicy reports whether this region was built WithNUMAPolicy.
-func (r *Region) NUMAPolicy() bool { return r.numa }
-
 // NodeMap returns the node each window was assigned at commit time (-1
-// for windows never committed under the policy), index-aligned with the
-// router's slot table when the region backs one.
+// for windows never committed), index-aligned with the router's slot
+// table when the region backs one.
 func (r *Region) NodeMap() []int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -71,7 +62,7 @@ func (r *Region) NodeMap() []int {
 }
 
 // nodeForWindow maps window k to its target node: the node of the core a
-// k-affine shard runs on.
+// worker pinned to instance k is expected to run on.
 func (r *Region) nodeForWindow(k int) int {
 	ncpu := runtime.NumCPU()
 	if ncpu <= 0 {

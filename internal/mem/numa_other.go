@@ -5,8 +5,8 @@ package mem
 import "unsafe"
 
 // Portable NUMA fallback: one node, no physical placement — the same
-// bookkeeping-only split as the mapped-memory fallback, so stacks built
-// WithNUMAPolicy behave identically everywhere.
+// bookkeeping-only split as the mapped-memory fallback, so window
+// placement behaves identically everywhere.
 
 func numaNodeIDs() []int { return []int{0} }
 

@@ -57,15 +57,15 @@ func TestNUMATopologyConsistent(t *testing.T) {
 	}
 }
 
+// TestNodeMapFollowsCommits: every region places its windows — a plain
+// region (no options) fills NodeMap on commit, and only for the windows
+// it committed.
 func TestNodeMapFollowsCommits(t *testing.T) {
-	r, err := New(1<<16, 3, WithNUMAPolicy())
+	r, err := New(1<<16, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Release()
-	if !r.NUMAPolicy() {
-		t.Fatal("NUMAPolicy not recorded")
-	}
 	for _, n := range r.NodeMap() {
 		if n != -1 {
 			t.Fatalf("window placed before commit: %v", r.NodeMap())

@@ -441,32 +441,6 @@ func (m *Multi) NewHandleOn(instance int) alloc.Handle {
 	return m.newHandle(instance)
 }
 
-// NewHandlePreferring is the non-panicking sibling of NewHandleOn for
-// affine callers above an elastic lifecycle (the per-CPU shard layer):
-// the handle prefers slot k when it is published, and falls back to the
-// routing policy's choice when k is out of range or a retired hole —
-// affinity is advisory there, not a binding.
-func (m *Multi) NewHandlePreferring(k int) *Handle {
-	t := m.tab.Load()
-	if k >= 0 && k < len(t.slots) && t.slots[k] != nil {
-		return m.newHandle(k)
-	}
-	return m.newHandle(m.prefer())
-}
-
-// Rehome moves the handle's preferred slot back to k when that slot is
-// published. Round-robin fallback deliberately drags the preference to
-// whatever instance served last (see Handle.Alloc); an affine owner —
-// shard k re-asserting "my instance is k" after a fallback excursion or
-// a stash drain — undoes the drag with this. Owner-goroutine only, like
-// every Handle method.
-func (h *Handle) Rehome(k int) {
-	t := h.m.tab.Load()
-	if k >= 0 && k < len(t.slots) && t.slots[k] != nil {
-		h.pref = k
-	}
-}
-
 func (m *Multi) newHandle(pref int) *Handle {
 	h := &Handle{m: m, pref: pref}
 	m.mu.Lock()
@@ -505,6 +479,26 @@ func (m *Multi) Handles() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.handles)
+}
+
+// IdleConvenience reports the handles parked idle in the convenience
+// pool and how many of them hold a sub-handle on slot k. The pool's size
+// follows the convenience path's concurrency and the Ps its calls land
+// on, not any handle's lifecycle, so registry-leak checks subtract it
+// from Handles and from slot k's leaf registry. Quiescent points only.
+func (m *Multi) IdleConvenience(k int) (handles, onSlot int) {
+	for i := range m.conv {
+		c := &m.conv[i]
+		c.mu.Lock()
+		for _, h := range c.free {
+			handles++
+			if k < len(h.subs) && h.subs[k] != nil {
+				onSlot++
+			}
+		}
+		c.mu.Unlock()
+	}
+	return handles, onSlot
 }
 
 // RouteStats aggregates the routing counters of all handles; quiescent

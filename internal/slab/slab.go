@@ -29,7 +29,7 @@
 //   - the cutoff is at most half the run chunk, so every run holds at
 //     least two objects.
 //
-// Residency rule (same as the depot and shard layers): objects parked in
+// Residency rule (same as the depot layer): objects parked in
 // runs and handle magazines are free-to-caller but live-in-backend — the
 // backing chunks pin multi-router live counts. Scrub flushes magazines
 // and returns every fully-free run; DrainRange releases empty runs inside

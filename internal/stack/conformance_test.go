@@ -60,7 +60,7 @@ func specBuilder(template stack.Spec, wantInstances int) alloctest.Builder {
 func TestConformanceCachedMulti(t *testing.T) {
 	alloctest.RunBuilder(t, specBuilder(stack.Spec{
 		Variant: "4lvl-nb",
-		Cached:  true, Magazine: 8,
+		Depot:   true, Magazine: 8,
 	}, 4))
 }
 
@@ -70,7 +70,7 @@ func TestConformanceCachedMulti(t *testing.T) {
 func TestConformanceTraceCached(t *testing.T) {
 	alloctest.RunBuilder(t, specBuilder(stack.Spec{
 		Variant: "1lvl-nb",
-		Cached:  true, Magazine: 8,
+		Depot:   true, Magazine: 8,
 		Record: &trace.Trace{},
 	}, 1))
 }
@@ -90,7 +90,7 @@ func TestConformanceMultiMaterialized(t *testing.T) {
 func TestConformanceFullStack(t *testing.T) {
 	alloctest.RunBuilder(t, specBuilder(stack.Spec{
 		Variant: "4lvl-nb",
-		Cached:  true, Magazine: 8,
+		Depot:   true, Magazine: 8,
 		Materialize: true,
 	}, 4))
 }
@@ -99,10 +99,9 @@ func TestConformanceFullStack(t *testing.T) {
 // variants registered for the benchmark harness, by name like any leaf.
 func TestConformanceRegistryComposites(t *testing.T) {
 	for _, name := range []string{
-		"cached+4lvl-nb", "multi4+4lvl-nb", "cached+multi4+4lvl-nb",
+		"multi4+4lvl-nb",
 		"depot+4lvl-nb", "depot+multi4+4lvl-nb", "elastic+multi+4lvl-nb",
 		"mapped+elastic+multi+4lvl-nb",
-		"shard+mapped+elastic+multi+4lvl-nb",
 		"slab+4lvl-nb", "slab+depot+multi4+4lvl-nb",
 		"slab+mapped+elastic+multi+4lvl-nb",
 	} {

@@ -10,23 +10,20 @@ import (
 )
 
 // TestDifferentialRegistryComposites fuzzes every registry composite —
-// the PR-1 stacks, the depot-backed ones, and the elastic composite
-// (whose runs additionally interleave Poll-driven grow/drain/retire) —
-// against the map-based oracle: random single/batched alloc/free
+// the router and depot-backed stacks, the slab ones, and the elastic
+// composites (whose runs additionally interleave Poll-driven
+// grow/drain/retire) — against the map-based oracle: random single/batched alloc/free
 // sequences with interleaved quiescent Scrubs, checking no
 // double-hand-out, exact ChunkSize reporting, and per-layer stats
 // reconciliation after the drain.
 func TestDifferentialRegistryComposites(t *testing.T) {
 	composites := []string{
-		"cached+4lvl-nb",
 		"multi4+4lvl-nb",
-		"cached+multi4+4lvl-nb",
 		"depot+4lvl-nb",
 		"depot+multi4+4lvl-nb",
 		"elastic+multi+4lvl-nb",
 		"mapped+elastic+multi+4lvl-nb",
 		"predictive+mapped+elastic+multi+4lvl-nb",
-		"shard+mapped+elastic+multi+4lvl-nb",
 		"slab+4lvl-nb",
 		"slab+depot+multi4+4lvl-nb",
 		"slab+mapped+elastic+multi+4lvl-nb",

@@ -1,6 +1,7 @@
 package stack_test
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -138,5 +139,34 @@ func TestDifferentialMigration(t *testing.T) {
 	s := mgr.Stats()
 	if s.Allocs != s.Frees {
 		t.Fatalf("allocs %d != frees %d after the drain", s.Allocs, s.Frees)
+	}
+}
+
+// TestBuildRejectsMigrationUnderCache pins the enforcement of
+// migration's single-owner rule: the depot's magazines and the slab's
+// runs hold router-live offsets that a move would strand, so Build
+// refuses migration under either layer while the bare router accepts it.
+func TestBuildRejectsMigrationUnderCache(t *testing.T) {
+	build := func(depot, slab bool) error {
+		_, err := stack.Build(stack.Spec{
+			Variant:   "4lvl-nb",
+			Per:       alloc.Config{Total: 1 << 16, MinSize: 64, MaxSize: 1 << 12},
+			Instances: 2,
+			Elastic: &elastic.Config{
+				MinInstances: 1, MaxInstances: 4,
+				Migration: elastic.MigrationConfig{Enabled: true},
+			},
+			Depot: depot,
+			Slab:  slab,
+		})
+		return err
+	}
+	for _, c := range []struct{ depot, slab bool }{{true, false}, {false, true}, {true, true}} {
+		if err := build(c.depot, c.slab); !errors.Is(err, stack.ErrMigrationCached) {
+			t.Errorf("depot=%v slab=%v: Build err = %v, want ErrMigrationCached", c.depot, c.slab, err)
+		}
+	}
+	if err := build(false, false); err != nil {
+		t.Fatalf("migration on the bare router must build: %v", err)
 	}
 }

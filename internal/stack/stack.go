@@ -9,12 +9,13 @@
 // alloc.LayerStatser), so the layers stack in any order; Build fixes the
 // canonical production order the paper's conclusions call for:
 //
-//	leaf variant(s) -> multi router -> elastic manager -> per-CPU shards
-//	                -> caching front-end -> trace -> arena
+//	leaf variant(s) -> multi router -> elastic manager
+//	                -> caching front-end (magazines + depot) -> slab
+//	                -> trace -> arena
 //
 // Common compositions are also registered as allocator variants
-// ("cached+4lvl-nb", "multi4+4lvl-nb", "cached+multi4+4lvl-nb", and the
-// depot-backed "depot+4lvl-nb"/"depot+multi4+4lvl-nb"), which
+// ("multi4+4lvl-nb", the depot-backed "depot+4lvl-nb" and
+// "depot+multi4+4lvl-nb", the slab and elastic stacks), which
 // makes them first-class citizens of every harness in the repository:
 // nbbsbench sweeps, nbbsstress verification, and the conformance suite
 // build them by name like any leaf allocator. For those names the
@@ -23,6 +24,7 @@
 package stack
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/alloc"
@@ -32,12 +34,17 @@ import (
 	"repro/internal/frontend"
 	"repro/internal/mem"
 	"repro/internal/multi"
-	"repro/internal/proc"
-	"repro/internal/shard"
 	"repro/internal/slab"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
+
+// ErrMigrationCached is Build's refusal to combine elastic live-chunk
+// migration with an offset-caching layer (Depot or Slab): migration moves
+// a live chunk to a new offset, and a magazine, depot or slab run still
+// holding the old offset would hand out memory the router no longer owns
+// there.
+var ErrMigrationCached = errors.New("stack: elastic migration cannot run under an offset-caching layer (Depot or Slab)")
 
 // Spec describes a layer stack bottom-up.
 type Spec struct {
@@ -57,31 +64,19 @@ type Spec struct {
 	// the instance set grows and shrinks at runtime under the given
 	// watermark policy (Instances is the initial set). Requires
 	// Instances >= 1 and excludes Materialize (a materialized region
-	// cannot follow a growing offset span).
+	// cannot follow a growing offset span). Enabling Migration is a build
+	// error under Depot or Slab: those layers cache offsets a migration
+	// would move.
 	Elastic *elastic.Config
-	// Sharded inserts the per-CPU sharded routing layer above the router
-	// (and the elastic manager, when present): handles key to Shards
-	// processor-hinted shards, each with an affine router preference, a
-	// local chunk cache and an inbound remote-free stash (internal/shard).
-	// Requires Instances >= 1. Shards <= 0 takes GOMAXPROCS at build time.
-	// Combined with Mapped, the backing region is additionally built
-	// WithNUMAPolicy so each instance window commits onto the NUMA node of
-	// the CPU its shard runs on.
-	Sharded bool
-	Shards  int
-	// Cached inserts the caching front-end; Magazine is the per-class
-	// capacity (0 = frontend.DefaultMagazine).
-	Cached   bool
-	Magazine int
-	// Depot attaches the shared magazine depot to the front-end (implies
-	// Cached): full magazines are exchanged with a per-size-class global
-	// pool in O(1), and refills/drains cross into the back-end as batches
-	// through the alloc.BatchAllocator contract. DepotCapacity bounds the
-	// full magazines retained per class and BatchRefill sizes a back-end
-	// refill (0 = defaults).
+	// Depot inserts the caching front-end: per-worker magazines exchanged
+	// whole with a per-size-class depot in O(1), with refills and drains
+	// crossing into the back-end as batches through the
+	// alloc.BatchAllocator contract. Magazine is the per-class magazine
+	// capacity and DepotCapacity bounds the full magazines the depot
+	// retains per class (0 = defaults).
 	Depot         bool
+	Magazine      int
 	DepotCapacity int
-	BatchRefill   int
 	// Slab inserts the size-class layer above the caching front-end (or
 	// whatever sits below it): requests up to the cutoff are served from
 	// fixed-size runs carved out of buddy chunks, larger requests pass
@@ -102,9 +97,10 @@ type Spec struct {
 	// Mapped backs each instance's offset window with platform mapped
 	// memory bound to the multi router (requires Instances >= 1): windows
 	// are committed while their slot is published and decommitted when it
-	// retires, so an elastic shrink returns RSS to the OS (internal/mem;
-	// on non-Linux platforms the portable fallback keeps the lifecycle
-	// bookkeeping without the RSS effect).
+	// retires, so an elastic shrink returns RSS to the OS, and each commit
+	// places its window on a NUMA node (internal/mem; on non-Linux
+	// platforms and single-node machines the portable fallback keeps the
+	// bookkeeping without the physical effect).
 	Mapped bool
 	// HugePages requests MADV_HUGEPAGE for mapped windows; it only takes
 	// effect when the per-instance span is a multiple of mem.HugePageSize.
@@ -116,7 +112,7 @@ type Spec struct {
 	Faults *fault.Injector
 	// Telemetry, when non-nil, inserts a latency probe above every layer
 	// boundary (backend — unless elastic sits directly on the router —
-	// elastic, shard, frontend, slab) and wires each event-emitting
+	// elastic, frontend, slab) and wires each event-emitting
 	// layer's flight-recorder sink into the registry's ring. Nil is the
 	// disabled state: no probes, no sinks, no hot-path cost.
 	Telemetry *telemetry.Registry
@@ -135,9 +131,7 @@ type Stack struct {
 	Multi *multi.Multi
 	// Elastic is the capacity manager (nil when Spec.Elastic was nil).
 	Elastic *elastic.Manager
-	// Shard is the per-CPU sharded routing layer (nil when not Sharded).
-	Shard *shard.Allocator
-	// Frontend is the caching layer (nil when not Cached).
+	// Frontend is the caching layer (nil when not Spec.Depot).
 	Frontend *frontend.Allocator
 	// Slab is the size-class layer (nil when not Spec.Slab).
 	Slab *slab.Allocator
@@ -185,12 +179,12 @@ func Build(s Spec) (*Stack, error) {
 		if s.Materialize && !s.Mapped {
 			return nil, fmt.Errorf("stack: elastic stacks can only materialize over mapped memory (Mapped), so the byte windows follow the growing instance table")
 		}
+		if s.Elastic.Migration.Enabled && (s.Depot || s.Slab) {
+			return nil, ErrMigrationCached
+		}
 	}
 	if s.Mapped && s.Instances < 1 {
 		return nil, fmt.Errorf("stack: mapped memory requires the multi router (Instances >= 1); a fixed single-instance stack wants Materialize")
-	}
-	if s.Sharded && s.Instances < 1 {
-		return nil, fmt.Errorf("stack: sharding requires the multi router (Instances >= 1)")
 	}
 	if s.Faults != nil && !s.Mapped {
 		return nil, fmt.Errorf("stack: fault injection requires mapped memory (Mapped) — the injector shims the region's lifecycle syscalls")
@@ -204,11 +198,6 @@ func Build(s Spec) (*Stack, error) {
 			var opts []mem.Option
 			if s.HugePages {
 				opts = append(opts, mem.WithHugePages())
-			}
-			if s.Sharded {
-				// Sharded stacks place each window on the node of the CPU
-				// whose shard allocates from it (portable no-op elsewhere).
-				opts = append(opts, mem.WithNUMAPolicy())
 			}
 			if s.Faults != nil {
 				opts = append(opts, mem.WithFaultInjector(s.Faults))
@@ -270,33 +259,8 @@ func Build(s Spec) (*Stack, error) {
 			return nil, err
 		}
 	}
-	if s.Sharded {
-		sh, err := shard.New(st.Top, s.Shards)
-		if err != nil {
-			return nil, err
-		}
-		st.Shard = sh
-		st.Top = sh
-		if st.Elastic != nil {
-			// Retirement cooperation: chunks parked in a shard cache hold
-			// their slot's live count above zero, so a draining slot needs
-			// the shard layer flushed for its window — same contract as the
-			// depot hook below.
-			st.Elastic.OnDrainRange(sh.DrainRange)
-		}
-		if err := probe("shard"); err != nil {
-			return nil, err
-		}
-	}
-	if s.Cached || s.Depot {
-		var feOpts []frontend.Option
-		if s.Depot {
-			feOpts = append(feOpts, frontend.WithDepot(s.DepotCapacity))
-		}
-		if s.BatchRefill > 0 {
-			feOpts = append(feOpts, frontend.WithBatchRefill(s.BatchRefill))
-		}
-		fe, err := frontend.New(st.Top, s.Magazine, feOpts...)
+	if s.Depot {
+		fe, err := frontend.New(st.Top, s.Magazine, frontend.WithDepot(s.DepotCapacity))
 		if err != nil {
 			return nil, err
 		}
@@ -305,7 +269,7 @@ func Build(s Spec) (*Stack, error) {
 		if st.Elastic != nil {
 			// Depot cooperation: a shrink must be able to pull depot-parked
 			// magazines of the draining instance back down, or its live
-			// count never reaches zero. (No-op without a depot.)
+			// count never reaches zero.
 			st.Elastic.OnDrainRange(fe.DrainDepotRange)
 		}
 		if err := probe("frontend"); err != nil {
@@ -408,24 +372,9 @@ func perConfig(cfg alloc.Config, n int) alloc.Config {
 func init() {
 	// Composite variants over the paper's fastest leaf. Config.Total is
 	// the global span; the multi composites split it over the instances.
-	alloc.Register("cached+4lvl-nb", func(cfg alloc.Config) (alloc.Allocator, error) {
-		st, err := Build(Spec{Variant: "4lvl-nb", Per: cfg, Cached: true})
-		if err != nil {
-			return nil, err
-		}
-		return st.Top, nil
-	})
 	alloc.Register("multi4+4lvl-nb", func(cfg alloc.Config) (alloc.Allocator, error) {
 		n := registryInstances(4, cfg)
 		st, err := Build(Spec{Variant: "4lvl-nb", Per: perConfig(cfg, n), Instances: n})
-		if err != nil {
-			return nil, err
-		}
-		return st.Top, nil
-	})
-	alloc.Register("cached+multi4+4lvl-nb", func(cfg alloc.Config) (alloc.Allocator, error) {
-		n := registryInstances(4, cfg)
-		st, err := Build(Spec{Variant: "4lvl-nb", Per: perConfig(cfg, n), Instances: n, Cached: true})
 		if err != nil {
 			return nil, err
 		}
@@ -518,25 +467,6 @@ func init() {
 			Policy:       elastic.NewPredictivePolicy(elastic.PredictiveConfig{}),
 		}
 		st, err := Build(Spec{Variant: "4lvl-nb", Per: perConfig(cfg, n), Instances: n, Elastic: ec, Mapped: true})
-		if err != nil {
-			return nil, err
-		}
-		return st.Top, nil
-	})
-	// Sharded composite: the full PR 6 stack — per-CPU sharded routing
-	// with NUMA-aware mapped placement over the elastic manager. The
-	// instance target tracks GOMAXPROCS (rounded up to a power of two, at
-	// least 4) so each shard can have an affine instance; the usual
-	// halving rule still applies when the global span is small.
-	alloc.Register("shard+mapped+elastic+multi+4lvl-nb", func(cfg alloc.Config) (alloc.Allocator, error) {
-		want := 4
-		for want < proc.MaxHint() && want < 64 {
-			want *= 2
-		}
-		n := registryInstances(want, cfg)
-		ec := &elastic.Config{MinInstances: 1, MaxInstances: 2 * n}
-		st, err := Build(Spec{Variant: "4lvl-nb", Per: perConfig(cfg, n), Instances: n,
-			Elastic: ec, Mapped: true, Sharded: true})
 		if err != nil {
 			return nil, err
 		}

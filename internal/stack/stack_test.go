@@ -17,13 +17,14 @@ var per = alloc.Config{Total: 1 << 18, MinSize: 64, MaxSize: 1 << 14}
 
 // TestStatsReconcile drives a caching + multi stack and checks that the
 // per-layer counters reconcile: every front-end allocation was served
-// either by a magazine hit or by a back-end allocation, and the routing
-// layer saw exactly the back-end's traffic.
+// either by a magazine or depot hit or by a batch refill, the back-end
+// saw exactly the refilled chunks, and the routing layer saw exactly the
+// back-end's traffic.
 func TestStatsReconcile(t *testing.T) {
 	st, err := stack.Build(stack.Spec{
 		Variant: "4lvl-nb", Per: per,
 		Instances: 4,
-		Cached:    true, Magazine: 8,
+		Depot:     true, Magazine: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,10 +61,15 @@ func TestStatsReconcile(t *testing.T) {
 		t.Fatalf("Hits+Misses = %d, want front-end attempts %d",
 			got, front.Allocs+front.AllocFails)
 	}
-	// Front-end successes decompose into magazine serves + back-end allocs.
-	if front.Allocs != cache.Hits+router.Allocs {
-		t.Fatalf("front-end Allocs %d != Hits %d + back-end Allocs %d",
-			front.Allocs, cache.Hits, router.Allocs)
+	// Front-end successes decompose into magazine/depot serves + refills
+	// that brought at least one chunk up.
+	if front.Allocs != cache.Hits+cache.Misses-front.AllocFails {
+		t.Fatalf("front-end Allocs %d != Hits %d + successful Misses %d",
+			front.Allocs, cache.Hits, cache.Misses-front.AllocFails)
+	}
+	// The back-end served exactly the chunks the batch refills brought up.
+	if ds := st.Frontend.Depot().Stats(); router.Allocs != ds.RefilledChunks {
+		t.Fatalf("back-end Allocs %d != depot refilled chunks %d", router.Allocs, ds.RefilledChunks)
 	}
 	// What the magazines did not absorb or still hold went back down:
 	// back-end frees are the spills plus flushes.
@@ -75,7 +81,7 @@ func TestStatsReconcile(t *testing.T) {
 	}
 	// The routing layer's handle-level view matches the instance fleet.
 	layers := st.LayerStats()
-	if len(layers) != 3 { // cached, multi, leaf fleet
+	if len(layers) != 3 { // depot, multi, leaf fleet
 		t.Fatalf("LayerStats = %d entries, want 3", len(layers))
 	}
 	routing := layers[1].Stats
@@ -90,7 +96,7 @@ func TestSpanThroughLayers(t *testing.T) {
 	st, err := stack.Build(stack.Spec{
 		Variant: "4lvl-nb", Per: per,
 		Instances:   4,
-		Cached:      true,
+		Depot:       true,
 		Record:      &trace.Trace{},
 		Materialize: true,
 	})
@@ -101,7 +107,7 @@ func TestSpanThroughLayers(t *testing.T) {
 	if got := alloc.SpanOf(st.Top); got != want {
 		t.Fatalf("SpanOf(top) = %d, want %d", got, want)
 	}
-	if st.Top.Name() != "mat+trace+cached+multi[4x 4lvl-nb]" {
+	if st.Top.Name() != "mat+trace+depot+multi[4x 4lvl-nb]" {
 		t.Fatalf("Name = %q", st.Top.Name())
 	}
 	if len(st.LayerStats()) != 5 {
@@ -113,7 +119,7 @@ func TestSpanThroughLayers(t *testing.T) {
 func TestCanScrub(t *testing.T) {
 	for variant, want := range map[string]bool{"4lvl-nb": true, "1lvl-sl": false} {
 		st, err := stack.Build(stack.Spec{
-			Variant: variant, Per: per, Instances: 2, Cached: true,
+			Variant: variant, Per: per, Instances: 2, Depot: true,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -25,18 +25,18 @@
 // A Buddy is really a layer stack (see DESIGN.md): the leaf allocator can
 // be wrapped by any combination of composable layers, selected by
 // options — WithInstances adds the multi-instance (NUMA-style) router,
-// WithFrontend adds per-worker caching magazines, WithTrace records the
-// operation stream, and WithMaterializedRegion backs the offset space
-// with real bytes so AllocBytes can hand out slices. The layers compose
-// freely, including the full production deployment the paper's
-// conclusions describe:
+// WithDepot adds per-worker caching magazines exchanged through a shared
+// depot, WithTrace records the operation stream, and
+// WithMaterializedRegion backs the offset space with real bytes so
+// AllocBytes can hand out slices. The layers compose freely, including
+// the full production deployment the paper's conclusions describe:
 //
 //	b, err := nbbs.New(nbbs.Config{Total: 1 << 24, MinSize: 64, MaxSize: 1 << 18},
 //	    nbbs.WithInstances(4),            // one back-end per NUMA node
-//	    nbbs.WithFrontend(32),            // per-worker magazines
+//	    nbbs.WithDepot(),                 // per-worker magazines + depot
 //	    nbbs.WithMaterializedRegion())    // real memory behind the offsets
 //	...
-//	h := b.NewHandle() // one per worker goroutine; caching when WithFrontend
+//	h := b.NewHandle() // one per worker goroutine; caching when WithDepot
 //	off, ok := h.Alloc(4096)
 //	...
 //	h.Free(off)
@@ -57,7 +57,6 @@ import (
 	"repro/internal/geometry"
 	"repro/internal/mem"
 	"repro/internal/multi"
-	"repro/internal/shard"
 	"repro/internal/slab"
 	"repro/internal/stack"
 	"repro/internal/telemetry"
@@ -94,16 +93,21 @@ const (
 )
 
 // Variants lists every registered allocator label, composed stacks
-// included (e.g. "cached+multi4+4lvl-nb").
+// included (e.g. "depot+multi4+4lvl-nb").
 func Variants() []string { return alloc.Names() }
 
 // ConfigVersion is the revision of the Config schema. Version 1 was the
 // geometry-only struct (Total/MinSize/MaxSize) with every layer selected
 // through functional options; version 2 groups the full stack
 // description into the sub-structs below, demoting the With* options to
-// thin adapters over the same fields. The constant exists so embedders
-// that persist configurations can tag which schema they wrote.
-const ConfigVersion = 2
+// thin adapters over the same fields. Version 3 made the depot-backed
+// magazine front-end the only caching discipline: it removed the
+// FrontendConfig fields Sharded, Shards, Cached, Magazine, DepotCapacity
+// and BatchRefill (per-CPU sharding and the depot-less magazine mode are
+// gone; magazine and depot sizes take their defaults), and NUMA window
+// placement became part of every mapped region. The constant exists so
+// embedders that persist configurations can tag which schema they wrote.
+const ConfigVersion = 3
 
 // RoutingPolicy selects how multi-instance handles bind to back-ends:
 // RoutingRoundRobin spreads handles across instances in creation order,
@@ -144,26 +148,13 @@ type BackingConfig struct {
 	Faults *FaultInjector
 }
 
-// FrontendConfig describes the layers above the router: per-CPU sharded
-// routing, per-worker caching magazines with the shared depot, and the
-// size-class slab. The zero value adds none of them.
+// FrontendConfig describes the layers above the router: per-worker
+// caching magazines with the shared depot, and the size-class slab. The
+// zero value adds neither.
 type FrontendConfig struct {
-	// Sharded layers per-CPU sharded routing over the router; Shards is
-	// the shard count (<= 0 = GOMAXPROCS at build time). See WithSharding.
-	Sharded bool
-	Shards  int
-	// Cached adds per-worker caching magazines; Magazine is the
-	// per-size-class capacity (0 = default). See WithFrontend.
-	Cached   bool
-	Magazine int
-	// Depot attaches the shared magazine depot (implies Cached);
-	// DepotCapacity bounds retained full magazines per size class
-	// (0 = default). See WithDepot.
-	Depot         bool
-	DepotCapacity int
-	// BatchRefill tunes the back-end batch brought up after a depot miss
-	// (0 = half a magazine). See WithBatchRefill.
-	BatchRefill int
+	// Depot adds per-worker caching magazines exchanged through the
+	// shared per-size-class depot. See WithDepot.
+	Depot bool
 	// Slab layers the size-class slab; SlabCutoff bounds the largest
 	// class (0 = default). See WithSlab.
 	Slab       bool
@@ -190,7 +181,7 @@ type TelemetrySettings struct {
 // where they sit in the stack; every zero value means "off" or "default",
 // so the minimal Config{Total, MinSize, MaxSize} builds the same bare
 // single-instance allocator it always has. The functional options
-// (WithInstances, WithFrontend, ...) remain supported as thin adapters
+// (WithInstances, WithDepot, ...) remain supported as thin adapters
 // that rewrite these same fields after Config is read.
 type Config struct {
 	// Total is the managed region size in bytes (per instance).
@@ -226,9 +217,6 @@ type Stats = alloc.Stats
 // Buddy.LayerStats.
 type LayerStats = alloc.LayerStats
 
-// CacheStats counts front-end magazine behaviour; see CachedHandle.
-type CacheStats = frontend.CacheStats
-
 // Trace is a recorded operation stream; pass one to WithTrace to record
 // every handle's operations for deterministic replay (internal/trace).
 type Trace = trace.Trace
@@ -252,19 +240,13 @@ type options struct {
 	instances   int
 	policy      multi.Policy
 	elastic     *elastic.Config
-	cached      bool
-	magazine    int
 	depot       bool
-	depotCap    int
-	batchRefill int
 	slab        bool
 	slabCutoff  uint64
 	record      *trace.Trace
 	materialize bool
 	mapped      bool
 	hugePages   bool
-	sharded     bool
-	shards      int
 	faults      *fault.Injector
 	telemetry   *telemetry.Registry
 }
@@ -312,9 +294,9 @@ var (
 // (ElasticConfig.Migration): stragglers on a draining slot are copied
 // onto active slots so retirement completes in bounded polls. Moving a
 // chunk changes its offset, so only enable it when every chunk owner
-// tracks moves through ElasticManager.OnMigrate — and leave it off under
-// offset-caching layers (the front-end's magazines, the slab's runs)
-// unless those layers' holdings are migration-aware.
+// tracks moves through ElasticManager.OnMigrate. New rejects it under the
+// offset-caching layers (WithDepot's magazines, WithSlab's runs), whose
+// parked offsets a move would strand.
 type MigrationConfig = elastic.MigrationConfig
 
 // WithElastic wraps the multi-instance router with the elastic capacity
@@ -362,57 +344,17 @@ func WithMappedMemory() Option {
 // internal/mem's alignment rule). Only meaningful with WithMappedMemory.
 func WithHugePages() Option { return func(o *options) { o.hugePages = true } }
 
-// WithSharding layers per-CPU sharded routing over the router (implying
-// WithInstances(1) when no instance count was set): every handle
-// operation keys to one of n shards by a cheap processor hint, and each
-// shard gets an affine router preference, a local cache of recently
-// freed chunks, and an inbound stash that remote frees are pushed
-// through — so the steady-state alloc/free path stays on CPU-local
-// state and the trees see only cache misses and batched drains
-// (internal/shard). n <= 0 takes GOMAXPROCS at build time. Combined
-// with WithMappedMemory on Linux, each instance window is additionally
-// committed onto the NUMA node of the CPU its shard runs on
-// (first-touch under an mbind preferred policy; a bookkeeping-only
-// no-op on other platforms and single-node machines). Shard counters
-// surface in LayerStats as shard_hits / shard_misses /
-// shard_remote_frees / shard_stash_drains and friends, and through
-// Buddy.Sharded().
-func WithSharding(n int) Option {
-	return func(o *options) {
-		o.sharded = true
-		o.shards = n
-		if o.instances < 1 {
-			o.instances = 1
-		}
-	}
-}
-
-// WithFrontend layers per-worker caching magazines over the back-end:
-// every NewHandle becomes a caching handle with the given per-size-class
-// magazine capacity (0 = default). Frees park chunks in magazines served
-// back to later allocations, so most operations never reach the
-// back-end.
-func WithFrontend(magazine int) Option {
-	return func(o *options) { o.cached = true; o.magazine = magazine }
-}
-
-// WithDepot attaches the shared magazine depot to the caching front-end
-// (implying WithFrontend when not set): when a worker's magazine
-// overflows it is parked whole in a per-size-class global depot in O(1),
-// and a worker running dry grabs a full magazine back the same way —
-// the cross-thread hand-off cost of remote frees becomes one pointer
-// swap per magazine instead of a back-end round trip per chunk. Depot
-// misses and overflows cross into the back-end as batches via the
-// bulk-transfer contract (AllocBatch/FreeBatch). capacity bounds the
-// full magazines retained per size class (0 = default).
-func WithDepot(capacity int) Option {
-	return func(o *options) { o.depot = true; o.depotCap = capacity }
-}
-
-// WithBatchRefill tunes how many chunks a back-end batch refill brings up
-// after a depot miss (default: half a magazine). Only meaningful with
-// WithDepot.
-func WithBatchRefill(n int) Option { return func(o *options) { o.batchRefill = n } }
+// WithDepot layers the caching front-end over the back-end: every
+// NewHandle becomes a caching handle whose per-size-class magazines
+// serve allocations and absorb frees, so most operations never reach the
+// back-end. When a worker's magazine overflows it is parked whole in a
+// per-size-class global depot in O(1), and a worker running dry grabs a
+// full magazine back the same way — the cross-thread hand-off cost of
+// remote frees becomes one pointer swap per magazine instead of a
+// back-end round trip per chunk. Depot misses and overflows cross into
+// the back-end as batches via the bulk-transfer contract
+// (AllocBatch/FreeBatch).
+func WithDepot() Option { return func(o *options) { o.depot = true } }
 
 // WithSlab layers the size-class slab over the stack (above the caching
 // front-end, when present): requests up to the cutoff are served from
@@ -494,26 +436,20 @@ func WithTelemetry(cfg TelemetryConfig) Option {
 
 func build(cfg Config, o options) (*Buddy, error) {
 	st, err := stack.Build(stack.Spec{
-		Variant:       o.variant,
-		Per:           alloc.Config{Total: cfg.Total, MinSize: cfg.MinSize, MaxSize: cfg.MaxSize},
-		Instances:     o.instances,
-		Policy:        o.policy,
-		Elastic:       o.elastic,
-		Cached:        o.cached,
-		Magazine:      o.magazine,
-		Depot:         o.depot,
-		DepotCapacity: o.depotCap,
-		BatchRefill:   o.batchRefill,
-		Slab:          o.slab,
-		SlabCutoff:    o.slabCutoff,
-		Record:        o.record,
-		Materialize:   o.materialize,
-		Mapped:        o.mapped,
-		HugePages:     o.hugePages,
-		Sharded:       o.sharded,
-		Shards:        o.shards,
-		Faults:        o.faults,
-		Telemetry:     o.telemetry,
+		Variant:     o.variant,
+		Per:         alloc.Config{Total: cfg.Total, MinSize: cfg.MinSize, MaxSize: cfg.MaxSize},
+		Instances:   o.instances,
+		Policy:      o.policy,
+		Elastic:     o.elastic,
+		Depot:       o.depot,
+		Slab:        o.slab,
+		SlabCutoff:  o.slabCutoff,
+		Record:      o.record,
+		Materialize: o.materialize,
+		Mapped:      o.mapped,
+		HugePages:   o.hugePages,
+		Faults:      o.faults,
+		Telemetry:   o.telemetry,
 	})
 	if err != nil {
 		return nil, err
@@ -523,8 +459,8 @@ func build(cfg Config, o options) (*Buddy, error) {
 
 // optionsFromConfig seeds the option state from the structured Config
 // fields, applying the same implication rules the corresponding With*
-// options apply (elastic, mapped memory and sharding all require at
-// least one routed instance).
+// options apply (elastic and mapped memory both require at least one
+// routed instance).
 func optionsFromConfig(cfg Config) options {
 	o := options{
 		variant:     cfg.Variant,
@@ -534,13 +470,7 @@ func optionsFromConfig(cfg Config) options {
 		hugePages:   cfg.Backing.HugePages,
 		materialize: cfg.Backing.Materialize,
 		faults:      cfg.Backing.Faults,
-		sharded:     cfg.Frontend.Sharded,
-		shards:      cfg.Frontend.Shards,
-		cached:      cfg.Frontend.Cached,
-		magazine:    cfg.Frontend.Magazine,
 		depot:       cfg.Frontend.Depot,
-		depotCap:    cfg.Frontend.DepotCapacity,
-		batchRefill: cfg.Frontend.BatchRefill,
 		slab:        cfg.Frontend.Slab,
 		slabCutoff:  cfg.Frontend.SlabCutoff,
 		record:      cfg.Trace,
@@ -552,7 +482,7 @@ func optionsFromConfig(cfg Config) options {
 		ec := *cfg.Elastic
 		o.elastic = &ec
 	}
-	if (o.elastic != nil || o.mapped || o.sharded) && o.instances < 1 {
+	if (o.elastic != nil || o.mapped) && o.instances < 1 {
 		o.instances = 1
 	}
 	if cfg.Telemetry.Enabled {
@@ -572,7 +502,7 @@ func New(cfg Config, opts ...Option) (*Buddy, error) {
 	return build(cfg, o)
 }
 
-// Name returns the composed stack label, e.g. "cached+multi[4x 4lvl-nb]".
+// Name returns the composed stack label, e.g. "depot+multi[4x 4lvl-nb]".
 func (b *Buddy) Name() string { return b.st.Top.Name() }
 
 // Variant returns the leaf implementation label of this instance.
@@ -615,7 +545,7 @@ func (b *Buddy) Alloc(size uint64) (offset uint64, ok bool) { return b.st.Top.Al
 func (b *Buddy) Free(offset uint64) { b.st.Top.Free(offset) }
 
 // NewHandle returns a per-worker handle; use one handle per goroutine on
-// hot paths. With WithFrontend the handle caches in per-size-class
+// hot paths. With WithDepot the handle caches in per-size-class
 // magazines.
 func (b *Buddy) NewHandle() Handle { return b.st.Top.NewHandle() }
 
@@ -638,7 +568,7 @@ type DepotStats = frontend.DepotStats
 // DepotStats returns the depot counters of a stack built WithDepot; ok is
 // false otherwise. Quiescent points only.
 func (b *Buddy) DepotStats() (DepotStats, bool) {
-	if b.st.Frontend == nil || b.st.Frontend.Depot() == nil {
+	if b.st.Frontend == nil {
 		return DepotStats{}, false
 	}
 	return b.st.Frontend.Depot().Stats(), true
@@ -731,14 +661,6 @@ type SlabLayer = slab.Allocator
 // the stack was built without WithSlab.
 func (b *Buddy) Slab() *SlabLayer { return b.st.Slab }
 
-// ShardRouter is the per-CPU sharded routing layer; see Buddy.Sharded.
-type ShardRouter = shard.Allocator
-
-// Sharded exposes the per-CPU sharded routing layer (nil unless built
-// WithSharding) — aggregate counters via Totals, per-shard snapshots via
-// ShardInfos. Quiescent points only.
-func (b *Buddy) Sharded() *ShardRouter { return b.st.Shard }
-
 // MemStats is the mapped backing region's commit accounting; see
 // Buddy.MemStats.
 type MemStats = mem.Stats
@@ -756,8 +678,8 @@ func MappedBacking() bool { return mem.Mapped() }
 
 // NUMABacking reports whether NUMA placement is physically effective
 // here: Linux with the mbind/get_mempolicy syscalls and more than one
-// online node. When false, WithSharding stacks still record per-window
-// node assignments (see MemRegion.NodeMap) but no binding is issued.
+// online node. When false, mapped stacks still record per-window node
+// assignments (see MemRegion.NodeMap) but no binding is issued.
 func NUMABacking() bool { return mem.NUMAAware() && len(mem.NUMANodes()) > 1 }
 
 // NUMANodes returns the online NUMA node ids ([0] on single-node
@@ -784,31 +706,6 @@ func (b *Buddy) MemStats() (MemStats, bool) {
 	return b.st.Mem.Stats(), true
 }
 
-// CachedHandle is a per-worker handle with magazine caching in front of
-// the instance (the paper's front-end/back-end composition). Frees park
-// chunks in per-size-class magazines served back to later allocations;
-// Flush returns everything to the back-end.
-type CachedHandle struct {
-	*frontend.Handle
-}
-
-// NewCachedHandle returns a caching front-end handle over the stack.
-// magazine is the per-size-class capacity (0 = default). On a stack
-// built WithFrontend the handle comes from the stack's own front-end
-// layer and magazine is ignored; otherwise a private front-end is
-// layered over the stack top for this handle.
-func (b *Buddy) NewCachedHandle(magazine int) (*CachedHandle, error) {
-	fe := b.st.Frontend
-	if fe == nil {
-		var err error
-		fe, err = frontend.New(b.st.Top, magazine)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return &CachedHandle{fe.NewHandle().(*frontend.Handle)}, nil
-}
-
 // MultiConfig sizes a multi-instance (NUMA-style) allocator: Instances
 // independent back-ends of Per geometry behind one offset space.
 type MultiConfig struct {
@@ -825,7 +722,7 @@ type Multi = multi.Multi
 // NewMulti builds a multi-instance allocator stack of the given variant.
 // All stack options compose — including WithMaterializedRegion, which
 // keeps one sub-region per instance behind the global offset space, and
-// WithFrontend for per-worker magazines over the router.
+// WithDepot for per-worker magazines over the router.
 func NewMulti(cfg MultiConfig, opts ...Option) (*Buddy, error) {
 	o := optionsFromConfig(cfg.Per)
 	for _, opt := range opts {

@@ -151,15 +151,16 @@ func TestScrubSupport(t *testing.T) {
 	}
 }
 
+// TestCachedHandle checks the per-handle magazine a WithDepot stack puts
+// in front of the back-end: a freed chunk parks in the handle and the
+// next same-size Alloc hands it straight back, and Scrub returns every
+// parked chunk to the back-end.
 func TestCachedHandle(t *testing.T) {
-	b, err := nbbs.New(cfg)
+	b, err := nbbs.New(cfg, nbbs.WithDepot())
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := b.NewCachedHandle(8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := b.NewHandle()
 	off, ok := h.Alloc(512)
 	if !ok {
 		t.Fatal("alloc failed")
@@ -170,9 +171,11 @@ func TestCachedHandle(t *testing.T) {
 		t.Fatalf("magazine miss: got %d, want parked %d", off2, off)
 	}
 	h.Free(off2)
-	h.Flush()
-	s := b.Stats()
-	if s.Allocs != s.Frees {
+	if !b.Scrub() {
+		t.Fatal("non-blocking leaves should scrub")
+	}
+	layers := b.LayerStats()
+	if s := layers[len(layers)-1].Stats; s.Allocs != s.Frees {
 		t.Fatalf("back-end leaked: %d/%d", s.Allocs, s.Frees)
 	}
 }
@@ -298,12 +301,12 @@ func TestMaterializedMulti(t *testing.T) {
 func TestComposedStackEndToEnd(t *testing.T) {
 	b, err := nbbs.New(cfg,
 		nbbs.WithInstances(4),
-		nbbs.WithFrontend(8),
+		nbbs.WithDepot(),
 		nbbs.WithMaterializedRegion())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Name() != "mat+cached+multi[4x 4lvl-nb]" {
+	if b.Name() != "mat+depot+multi[4x 4lvl-nb]" {
 		t.Fatalf("Name = %q", b.Name())
 	}
 	if b.Total() != 4*cfg.Total {
@@ -342,10 +345,10 @@ func TestComposedStackEndToEnd(t *testing.T) {
 		t.Fatal("non-blocking leaves should scrub")
 	}
 	layers := b.LayerStats()
-	if len(layers) != 4 { // mat, cached, multi, leaf fleet
+	if len(layers) != 4 { // mat, depot, multi, leaf fleet
 		t.Fatalf("LayerStats = %d entries, want 4", len(layers))
 	}
-	if layers[0].Layer != "mat" || layers[1].Layer != "cached" {
+	if layers[0].Layer != "mat" || layers[1].Layer != "depot" {
 		t.Fatalf("layer order = %q, %q", layers[0].Layer, layers[1].Layer)
 	}
 	front := layers[1].Stats
@@ -369,8 +372,7 @@ func TestComposedStackEndToEnd(t *testing.T) {
 func TestDepotStackEndToEnd(t *testing.T) {
 	b, err := nbbs.New(cfg,
 		nbbs.WithInstances(4),
-		nbbs.WithFrontend(8),
-		nbbs.WithDepot(0))
+		nbbs.WithDepot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +447,7 @@ func TestDepotStackEndToEnd(t *testing.T) {
 // (replay itself is covered by the trace package's own tests).
 func TestTraceLayer(t *testing.T) {
 	var tr nbbs.Trace
-	b, err := nbbs.New(cfg, nbbs.WithTrace(&tr), nbbs.WithFrontend(8))
+	b, err := nbbs.New(cfg, nbbs.WithTrace(&tr), nbbs.WithDepot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,62 +532,5 @@ func TestMappedMemoryFacade(t *testing.T) {
 	}
 	if committed != 1 {
 		t.Fatalf("commit map shows %d committed windows, want 1", committed)
-	}
-}
-
-func TestShardingFacade(t *testing.T) {
-	b, err := nbbs.New(cfg,
-		nbbs.WithInstances(2),
-		nbbs.WithElastic(nbbs.ElasticConfig{MinInstances: 1, MaxInstances: 4, Hysteresis: 1}),
-		nbbs.WithMappedMemory(),
-		nbbs.WithSharding(2),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := b.Sharded()
-	if sh == nil {
-		t.Fatal("stack does not report its shard layer")
-	}
-	if sh.Shards() != 2 {
-		t.Fatalf("Shards = %d, want 2", sh.Shards())
-	}
-	h := b.NewHandle()
-	off, ok := h.Alloc(256)
-	if !ok {
-		t.Fatal("alloc failed")
-	}
-	h.Free(off)
-	got, ok := h.Alloc(256)
-	if !ok {
-		t.Fatal("recycle alloc failed")
-	}
-	if got != off {
-		t.Fatalf("shard cache did not recycle: %d != %d", got, off)
-	}
-	h.Free(got)
-	if tot := sh.Totals(); tot.Hits == 0 {
-		t.Fatalf("no cache hits recorded: %+v", tot)
-	}
-	// The shard layer reports itself in LayerStats, above the manager.
-	ls := b.LayerStats()
-	if len(ls) < 3 {
-		t.Fatalf("expected shard + elastic + router entries, got %d", len(ls))
-	}
-	if ls[0].Layer != "shard[2]" {
-		t.Fatalf("top layer %q, want shard[2]", ls[0].Layer)
-	}
-	// A chunk parked in a shard cache keeps its slot live; the elastic
-	// drain hook flushes it so retirement still completes.
-	off2, _ := h.Alloc(512)
-	h.Free(off2) // parked, not tree-freed
-	b.Elastic().Poll()
-	b.Elastic().Poll()
-	if n := b.Instances(); n != 1 {
-		t.Fatalf("Instances = %d after idle polls, want 1 (drain hook must flush shard caches)", n)
-	}
-	b.Scrub()
-	if tot := sh.Totals(); tot.CachedNow != 0 || tot.StashedNow != 0 {
-		t.Fatalf("Scrub left parked chunks: %+v", tot)
 	}
 }
