@@ -308,6 +308,11 @@ func demo(sc stackConfig) {
 			r.Windows(), r.WindowSize(), s.ReservedBytes, s.CommittedBytes)
 		fmt.Printf("  lifecycle: commits=%d decommits=%d recommits=%d\n",
 			s.Commits, s.Decommits, s.Recommits)
+		pages := "4KiB base (window not a 2 MiB multiple)"
+		if r.HugePages() {
+			pages = "2MiB THP advised"
+		}
+		fmt.Printf("  pages: %s, huge_fallbacks=%d\n", pages, s.HugeFallbacks)
 		if s.HugeFallbacks+s.PopulateFallbacks+s.BindFailures+s.ReserveFails+s.CommitFails+s.DecommitFails > 0 {
 			fmt.Printf("  degradation: huge_fallbacks=%d populate_fallbacks=%d bind_failures=%d reserve_fails=%d commit_fails=%d decommit_fails=%d\n",
 				s.HugeFallbacks, s.PopulateFallbacks, s.BindFailures, s.ReserveFails, s.CommitFails, s.DecommitFails)

@@ -28,6 +28,7 @@ import (
 	"repro/internal/alloc"
 	"repro/internal/elastic"
 	"repro/internal/fault"
+	"repro/internal/mem"
 	"repro/internal/multi"
 	"repro/internal/slab"
 	"repro/internal/stack"
@@ -54,8 +55,12 @@ type Config struct {
 
 // Composites lists the stack compositions the harness covers: the
 // mapped elastic router, bare and under the slab layer (which adds run
-// carving and the slab drain fence to the fault surface).
-func Composites() []string { return []string{"mapped+elastic", "slab+mapped+elastic"} }
+// carving and the slab drain fence to the fault surface), and the bare
+// router again over hugepage-sized windows — the only row whose commits
+// take the hugepage advise, and so the only one the Huge site can fail.
+func Composites() []string {
+	return []string{"mapped+elastic", "slab+mapped+elastic", "mapped+elastic-2MiB"}
+}
 
 // Report is the outcome of one chaos run.
 type Report struct {
@@ -116,6 +121,9 @@ func buildComposite(label string, in *fault.Injector, reg *telemetry.Registry) (
 		Telemetry: reg,
 	}
 	switch label {
+	case "mapped+elastic-2MiB":
+		spec.Per.Total = mem.HugePageSize
+		fallthrough
 	case "mapped+elastic":
 		// The bare router composite also runs the Migrate step: Polls may
 		// move live chunks off draining slots, widening the fault surface

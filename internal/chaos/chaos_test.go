@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/fault"
+
 	_ "repro/internal/bunch"
 	_ "repro/internal/core"
 )
@@ -80,5 +82,27 @@ func TestFlightRecorderDeterministic(t *testing.T) {
 		if first.Events[i].Step <= first.Events[i-1].Step {
 			t.Fatalf("event steps not strictly increasing at index %d: %+v", i, first.Events[i-1:i+1])
 		}
+	}
+}
+
+// TestScheduleReachesEverySite pins that the chaos gate exercises every
+// rung its schedule arms: over the gate's seeds (nbbsstress -chaos runs
+// 1..25), each site of schedule() injects at least once in some
+// composite. A rule whose site no composite reaches — as Huge was before
+// the hugepage-window row — proves nothing.
+func TestScheduleReachesEverySite(t *testing.T) {
+	missing := map[fault.Site]bool{}
+	for _, rule := range schedule(0.05) {
+		missing[rule.Site] = true
+	}
+	for seed := uint64(1); seed <= 25 && len(missing) > 0; seed++ {
+		for _, composite := range Composites() {
+			for _, f := range Run(Config{Composite: composite, Seed: seed, Steps: 4000}).Schedule {
+				delete(missing, f.Site)
+			}
+		}
+	}
+	for site := range missing {
+		t.Errorf("site %q never injected over seeds 1..25 of %v", site, Composites())
 	}
 }

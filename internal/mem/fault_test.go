@@ -103,14 +103,11 @@ func TestInjectedLifecycleFailures(t *testing.T) {
 // counted, never an error.
 func TestInjectedHugeFallback(t *testing.T) {
 	in := fault.New(1, fault.FailAlways(fault.Huge, syscall.EINVAL))
-	r, err := mem.New(mem.HugePageSize, 2, mem.WithHugePages(), mem.WithFaultInjector(in))
+	r, err := mem.New(mem.HugePageSize, 2, mem.WithFaultInjector(in))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Release()
-	if !r.HugePages() {
-		t.Skip("hugepage advise not active on this configuration")
-	}
 	for k := 0; k < 2; k++ {
 		if err := r.Commit(k); err != nil {
 			t.Fatalf("hugepage fallback must not fail Commit(%d): %v", k, err)

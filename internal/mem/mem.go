@@ -24,6 +24,12 @@
 //	          window off again (PROT_NONE). RSS drops immediately.
 //	recommit  commit after a decommit; the window comes back zero-filled.
 //
+// Every window whose size is a multiple of HugePageSize is backed by
+// transparent huge pages, with no option (see HugePageSize). Commit
+// makes the whole window resident anyway, so THP's usual cost, half-used
+// 2MiB extents held resident, cannot arise and only the saving remains;
+// the host's THP sysfs setting stays the off switch.
+//
 // On Linux the pre-fault is one madvise(MADV_POPULATE_WRITE) call
 // (Linux ≥ 5.14), which faults the whole window in inside the kernel
 // instead of taking one page fault per page. Errors map onto the
@@ -63,10 +69,11 @@ import (
 )
 
 // HugePageSize is the transparent-huge-page extent MADV_HUGEPAGE can
-// coalesce on Linux/amd64. Windows are only hugepage-advised when their
-// size is a multiple of it, and the reservation is over-allocated so the
-// window starts on a HugePageSize boundary — THP only materializes on
-// aligned 2MiB extents, so an unaligned advise would silently do nothing.
+// coalesce on Linux/amd64. Every window whose size is a multiple of it
+// is hugepage-advised at commit, and its reservation is over-allocated
+// so the window starts on a HugePageSize boundary — THP only
+// materializes on aligned 2MiB extents, so an unaligned advise would
+// silently do nothing. Smaller or odd-sized windows stay on base pages.
 const HugePageSize = 2 << 20
 
 // Stats is the region's commit accounting; all counters are lifetime
@@ -125,7 +132,6 @@ type window struct {
 // commit/decommit lifecycles. All methods are safe for concurrent use.
 type Region struct {
 	winSize uint64
-	huge    bool
 	inj     *fault.Injector
 
 	mu   sync.Mutex
@@ -146,12 +152,6 @@ type Region struct {
 
 // Option tunes a Region.
 type Option func(*Region)
-
-// WithHugePages requests MADV_HUGEPAGE on commit. It only takes effect
-// when the window size is a multiple of HugePageSize (the alignment rule
-// documented on HugePageSize); smaller windows silently stay on base
-// pages. No-op on non-Linux platforms.
-func WithHugePages() Option { return func(r *Region) { r.huge = true } }
 
 // WithFaultInjector routes every lifecycle syscall through the given
 // injector (nil is valid and injects nothing). The check runs before the
@@ -219,9 +219,10 @@ func (r *Region) Windows() int {
 	return len(r.wins)
 }
 
-// HugePages reports whether commits advise transparent huge pages (only
-// meaningful when the window size meets the HugePageSize alignment rule).
-func (r *Region) HugePages() bool { return r.huge && r.winSize%HugePageSize == 0 }
+// HugePages reports whether the region's windows are hugepage-eligible:
+// their size is a multiple of HugePageSize, so each is reserved aligned
+// and advised MADV_HUGEPAGE at every commit.
+func (r *Region) HugePages() bool { return r.winSize%HugePageSize == 0 }
 
 // Ensure reserves windows until the region holds at least n of them.
 // Existing windows and their lifecycle states are untouched.
@@ -299,9 +300,9 @@ func (r *Region) Commit(k int) error {
 		return fmt.Errorf("mem: committing window %d: %w", k, err)
 	}
 	if r.HugePages() {
-		// Degradation ladder, rung one: a failed hugepage advise (THP
-		// disabled, or injected) leaves the window on base 4KiB pages —
-		// counted, never fatal.
+		// Degradation ladder, rung one: a failed hugepage advise (a
+		// kernel built without THP, or injected) leaves the window on
+		// base 4KiB pages — counted, never fatal.
 		err := r.inj.Check(fault.Huge)
 		if err == nil {
 			err = osAdviseHuge(w.buf)

@@ -37,11 +37,12 @@ func withPopulate(t *testing.T, fn func([]byte) error) {
 	t.Cleanup(func() { populate = prev })
 }
 
-// mapPerms returns the /proc/self/maps permission field ("rw-p",
-// "---p", ...) of the mapping that contains addr.
-func mapPerms(t *testing.T, addr uintptr) string {
+// vma returns the /proc/self/smaps entry of the mapping that contains
+// addr: its permission field ("rw-p", "---p", ...) and its "Key: value"
+// lines (THPeligible, VmFlags, ...) keyed without the colon.
+func vma(t *testing.T, addr uintptr) (perms string, fields map[string]string) {
 	t.Helper()
-	data, err := os.ReadFile("/proc/self/maps")
+	data, err := os.ReadFile("/proc/self/smaps")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,6 +51,15 @@ func mapPerms(t *testing.T, addr uintptr) string {
 		if len(f) < 2 {
 			continue
 		}
+		if key, ok := strings.CutSuffix(f[0], ":"); ok {
+			if fields != nil {
+				fields[key] = strings.Join(f[1:], " ")
+			}
+			continue
+		}
+		if fields != nil {
+			break // the next mapping's header ends the one we want
+		}
 		lo, hi, ok := strings.Cut(f[0], "-")
 		if !ok {
 			continue
@@ -57,11 +67,13 @@ func mapPerms(t *testing.T, addr uintptr) string {
 		start, err1 := strconv.ParseUint(lo, 16, 64)
 		end, err2 := strconv.ParseUint(hi, 16, 64)
 		if err1 == nil && err2 == nil && uint64(addr) >= start && uint64(addr) < end {
-			return f[1]
+			perms, fields = f[1], map[string]string{}
 		}
 	}
-	t.Fatalf("no mapping contains %#x", addr)
-	return ""
+	if fields == nil {
+		t.Fatalf("no mapping contains %#x", addr)
+	}
+	return perms, fields
 }
 
 // TestMappedRSSLifecycle is the page-level ground truth of the package,
@@ -198,7 +210,7 @@ func TestPopulateFallbackAndFailure(t *testing.T) {
 		if got := rss(t); got > before+win/4 {
 			t.Fatalf("failed commit kept the half it populated: before=%d after=%d", before, got)
 		}
-		if p := mapPerms(t, uintptr(unsafe.Pointer(&r.wins[0].buf[0]))); p[:3] != "---" {
+		if p, _ := vma(t, uintptr(unsafe.Pointer(&r.wins[0].buf[0]))); p[:3] != "---" {
 			t.Fatalf("failed commit left the window mapped %s, want PROT_NONE", p)
 		}
 
@@ -212,32 +224,50 @@ func TestPopulateFallbackAndFailure(t *testing.T) {
 	})
 }
 
-// TestHugePageAlignment checks the alignment rule: a hugepage-advised
-// window starts on a HugePageSize boundary, and windows that are not a
-// multiple of the extent never request the advice.
+// TestHugePageAlignment checks the hugepage rule: a window whose size is
+// a multiple of HugePageSize starts on a HugePageSize boundary and, once
+// committed, sits in a THP-eligible mapping; a smaller window is neither
+// padded nor advised.
 func TestHugePageAlignment(t *testing.T) {
-	r, err := New(HugePageSize, 1, WithHugePages())
+	r, err := New(HugePageSize, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Release()
 	if !r.HugePages() {
-		t.Fatal("2MiB-multiple window with WithHugePages must be hugepage-eligible")
+		t.Fatal("2MiB-multiple window must be hugepage-eligible")
 	}
 	if err := r.Commit(0); err != nil {
 		t.Fatal(err)
 	}
 	w := r.Window(0)
-	if addr := uintptr(unsafe.Pointer(&w[0])); addr%HugePageSize != 0 {
+	addr := uintptr(unsafe.Pointer(&w[0]))
+	if addr%HugePageSize != 0 {
 		t.Fatalf("hugepage window not 2MiB-aligned: %#x", addr)
 	}
+	// The host can switch THP off (or be built without it); the advise
+	// then lands on nothing, and the commit still succeeds on base pages.
+	if mode, err := os.ReadFile("/sys/kernel/mm/transparent_hugepage/enabled"); err != nil || strings.Contains(string(mode), "[never]") {
+		t.Logf("THP unavailable on this host (%q, %v): skipping the smaps check", mode, err)
+	} else if _, f := vma(t, addr); f["THPeligible"] != "1" {
+		t.Fatalf("committed hugepage window not THP-eligible: THPeligible=%q VmFlags=%q", f["THPeligible"], f["VmFlags"])
+	}
 
-	small, err := New(1<<16, 1, WithHugePages())
+	small, err := New(1<<16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer small.Release()
 	if small.HugePages() {
 		t.Fatal("64KiB window must not be hugepage-eligible (alignment rule)")
+	}
+	if got := len(small.wins[0].raw); got != 1<<16 {
+		t.Fatalf("64KiB window reserved %d bytes, want no hugepage padding", got)
+	}
+	if err := small.Commit(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, f := vma(t, uintptr(unsafe.Pointer(&small.Window(0)[0]))); slices.Contains(strings.Fields(f["VmFlags"]), "hg") {
+		t.Fatalf("64KiB window was advised MADV_HUGEPAGE: VmFlags=%q", f["VmFlags"])
 	}
 }

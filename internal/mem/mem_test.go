@@ -1,8 +1,11 @@
 package mem
 
 import (
+	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/fault"
 )
 
 func TestLifecycleStateMachine(t *testing.T) {
@@ -154,27 +157,39 @@ func TestReleaseIdempotent(t *testing.T) {
 // BenchmarkCommitDecommit prices one elastic grow's and retire's memory
 // work at the production window size: each iteration commits a 64 MiB
 // window (pre-faulting every page) and decommits it again, reporting the
-// two halves separately as ns/commit and ns/decommit.
+// two halves separately as ns/commit and ns/decommit. The huge case is
+// what every 2MiB-multiple window gets; base forces the hugepage advise
+// down the degradation rung, so the window runs on 4KiB pages.
 func BenchmarkCommitDecommit(b *testing.B) {
 	const win = 64 << 20
-	r, err := New(win, 1)
-	if err != nil {
-		b.Fatal(err)
+	for _, bc := range []struct {
+		name string
+		in   *fault.Injector
+	}{
+		{"huge", nil},
+		{"base", fault.New(1, fault.FailAlways(fault.Huge, syscall.EINVAL))},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			r, err := New(win, 1, WithFaultInjector(bc.in))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer r.Release()
+			var commit, decommit time.Duration
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				if err := r.Commit(0); err != nil {
+					b.Fatal(err)
+				}
+				t1 := time.Now()
+				if err := r.Decommit(0); err != nil {
+					b.Fatal(err)
+				}
+				commit += t1.Sub(t0)
+				decommit += time.Since(t1)
+			}
+			b.ReportMetric(float64(commit.Nanoseconds())/float64(b.N), "ns/commit")
+			b.ReportMetric(float64(decommit.Nanoseconds())/float64(b.N), "ns/decommit")
+		})
 	}
-	defer r.Release()
-	var commit, decommit time.Duration
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		if err := r.Commit(0); err != nil {
-			b.Fatal(err)
-		}
-		t1 := time.Now()
-		if err := r.Decommit(0); err != nil {
-			b.Fatal(err)
-		}
-		commit += t1.Sub(t0)
-		decommit += time.Since(t1)
-	}
-	b.ReportMetric(float64(commit.Nanoseconds())/float64(b.N), "ns/commit")
-	b.ReportMetric(float64(decommit.Nanoseconds())/float64(b.N), "ns/decommit")
 }

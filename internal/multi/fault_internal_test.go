@@ -14,7 +14,8 @@ import (
 	_ "repro/internal/core"
 )
 
-var faultCfg = alloc.Config{Total: 1 << 12, MinSize: 64, MaxSize: 1 << 10}
+// Hugepage-sized windows, so the commits also take the hugepage advise.
+var faultCfg = alloc.Config{Total: mem.HugePageSize, MinSize: 64, MaxSize: 1 << 10}
 
 // mappedRouter builds a live-tracked router backed by a region whose
 // lifecycle calls route through a fresh (initially empty) injector.
@@ -39,7 +40,8 @@ func mappedRouter(t *testing.T, count int) (*Multi, *mem.Region, *fault.Injector
 // TestAddInstanceCommitFailureLeavesNoTrace pins the commit half of the
 // overlapped grow's unwind: when the window commit fails while the leaf
 // build succeeds, the built slot is dropped — the table, its width and
-// the commit map are exactly as before — and a retry grows cleanly.
+// the commit map are exactly as before — and a retry grows cleanly, even
+// when its hugepage advise fails (counted as mem_huge_fallbacks).
 func TestAddInstanceCommitFailureLeavesNoTrace(t *testing.T) {
 	m, r, in := mappedRouter(t, 2)
 	slots, commitMap := m.Slots(), r.CommitMap()
@@ -59,13 +61,16 @@ func TestAddInstanceCommitFailureLeavesNoTrace(t *testing.T) {
 		t.Fatalf("region stats after failed grow: %+v", s)
 	}
 
-	in.Clear()
+	in.Set(fault.FailAlways(fault.Huge, syscall.EINVAL))
 	k, err := m.AddInstance()
 	if err != nil {
 		t.Fatalf("grow retry: %v", err)
 	}
 	if !r.Committed(k) {
 		t.Fatalf("retried grow left window %d uncommitted", k)
+	}
+	if got := m.LayerStats()[0].Extra["mem_huge_fallbacks"]; got != 1 {
+		t.Fatalf("mem_huge_fallbacks = %d after one failed hugepage advise, want 1", got)
 	}
 }
 

@@ -546,7 +546,7 @@ func (m *Multi) LayerStats() []alloc.LayerStats {
 		entry.Extra["mem_decommits"] = ms.Decommits
 		entry.Extra["mem_recommits"] = ms.Recommits
 		if ms.HugeFallbacks > 0 {
-			entry.Extra["mem_commit_fallbacks"] = ms.HugeFallbacks
+			entry.Extra["mem_huge_fallbacks"] = ms.HugeFallbacks
 		}
 		if ms.PopulateFallbacks > 0 {
 			entry.Extra["mem_populate_fallbacks"] = ms.PopulateFallbacks

@@ -102,9 +102,6 @@ type Spec struct {
 	// platforms and single-node machines the portable fallback keeps the
 	// bookkeeping without the physical effect).
 	Mapped bool
-	// HugePages requests MADV_HUGEPAGE for mapped windows; it only takes
-	// effect when the per-instance span is a multiple of mem.HugePageSize.
-	HugePages bool
 	// Faults routes the mapped region's lifecycle syscalls through a
 	// fault injector (requires Mapped; nil injects nothing). Tests and
 	// the chaos harness schedule failures on it after the build — the
@@ -195,14 +192,7 @@ func Build(s Spec) (*Stack, error) {
 			return nil, err
 		}
 		if s.Mapped {
-			var opts []mem.Option
-			if s.HugePages {
-				opts = append(opts, mem.WithHugePages())
-			}
-			if s.Faults != nil {
-				opts = append(opts, mem.WithFaultInjector(s.Faults))
-			}
-			r, err := mem.New(m.InstanceSpan(), m.Slots(), opts...)
+			r, err := mem.New(m.InstanceSpan(), m.Slots(), mem.WithFaultInjector(s.Faults))
 			if err != nil {
 				return nil, fmt.Errorf("stack: reserving mapped backing: %w", err)
 			}

@@ -105,9 +105,12 @@ func Variants() []string { return alloc.Names() }
 // FrontendConfig fields Sharded, Shards, Cached, Magazine, DepotCapacity
 // and BatchRefill (per-CPU sharding and the depot-less magazine mode are
 // gone; magazine and depot sizes take their defaults), and NUMA window
-// placement became part of every mapped region. The constant exists so
-// embedders that persist configurations can tag which schema they wrote.
-const ConfigVersion = 3
+// placement became part of every mapped region. Version 4 removed
+// BackingConfig.HugePages: commit makes a window resident anyway, so
+// every 2MiB-multiple window is now backed by transparent huge pages,
+// which only make that cheaper. The constant exists so embedders that
+// persist configurations can tag which schema they wrote.
+const ConfigVersion = 4
 
 // RoutingPolicy selects how multi-instance handles bind to back-ends:
 // RoutingRoundRobin spreads handles across instances in creation order,
@@ -137,9 +140,6 @@ type BackingConfig struct {
 	// committed while the instance is published and decommitted when an
 	// elastic retirement unpublishes it (see WithMappedMemory).
 	Mapped bool
-	// HugePages requests MADV_HUGEPAGE for mapped windows (Linux only;
-	// see WithHugePages).
-	HugePages bool
 	// Materialize backs the managed region with real memory so
 	// AllocBytes/Bytes hand out slices (see WithMaterializedRegion).
 	Materialize bool
@@ -246,7 +246,6 @@ type options struct {
 	record      *trace.Trace
 	materialize bool
 	mapped      bool
-	hugePages   bool
 	faults      *fault.Injector
 	telemetry   *telemetry.Registry
 }
@@ -323,8 +322,10 @@ func WithElastic(cfg ElasticConfig) Option {
 // mmap-reserved address space that is committed (mprotect + touch) while
 // the instance is published and decommitted (MADV_DONTNEED) when an
 // elastic retirement unpublishes it — the point where a shrink actually
-// returns RSS to the OS. Other platforms run a portable bookkeeping
-// fallback with identical lifecycle semantics and no RSS effect.
+// returns RSS to the OS; windows whose size (the per-instance Total) is
+// a multiple of 2MiB are backed by transparent huge pages. Other
+// platforms run a portable bookkeeping fallback with identical lifecycle
+// semantics and no RSS effect.
 // Composes with WithElastic (the lifecycle driver) and with
 // WithMaterializedRegion (the arena borrows the router's windows, so
 // Bytes follows the commit map). Commit accounting surfaces in
@@ -338,11 +339,6 @@ func WithMappedMemory() Option {
 		}
 	}
 }
-
-// WithHugePages requests MADV_HUGEPAGE for mapped windows (Linux only;
-// effective when the per-instance Total is a multiple of 2MiB — see
-// internal/mem's alignment rule). Only meaningful with WithMappedMemory.
-func WithHugePages() Option { return func(o *options) { o.hugePages = true } }
 
 // WithDepot layers the caching front-end over the back-end: every
 // NewHandle becomes a caching handle whose per-size-class magazines
@@ -447,7 +443,6 @@ func build(cfg Config, o options) (*Buddy, error) {
 		Record:      o.record,
 		Materialize: o.materialize,
 		Mapped:      o.mapped,
-		HugePages:   o.hugePages,
 		Faults:      o.faults,
 		Telemetry:   o.telemetry,
 	})
@@ -467,7 +462,6 @@ func optionsFromConfig(cfg Config) options {
 		instances:   cfg.Backing.Instances,
 		policy:      cfg.Backing.Routing,
 		mapped:      cfg.Backing.Mapped,
-		hugePages:   cfg.Backing.HugePages,
 		materialize: cfg.Backing.Materialize,
 		faults:      cfg.Backing.Faults,
 		depot:       cfg.Frontend.Depot,
